@@ -15,7 +15,7 @@ import numpy as np
 
 from .bitstring import BitString
 from .environment import NOMINAL, EnvironmentConditions
-from .jsonio import read_json, write_json
+from .jsonio import decoding, read_json, write_json
 from .rng import substream
 
 FREQ_LO_HZ = 30_000.0
@@ -224,8 +224,9 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
 
 def load_fingerprint(path) -> Fingerprint:
     doc = read_json(path)
-    bits = BitString.from_hex(doc["bits_hex"], doc["n_bins"])
-    return Fingerprint(bits, np.asarray(doc["thresholds"], dtype=float), doc.get("device_id", ""))
+    with decoding(path):
+        bits = BitString.from_hex(doc["bits_hex"], doc["n_bins"])
+        return Fingerprint(bits, np.asarray(doc["thresholds"], dtype=float), doc.get("device_id", ""))
 
 
 def save_wave_train(train: WaveTrain, path) -> None:
@@ -234,4 +235,5 @@ def save_wave_train(train: WaveTrain, path) -> None:
 
 def load_wave_train(path) -> WaveTrain:
     doc = read_json(path)
-    return WaveTrain(tuple(doc["slots"]), doc["t"], doc["k"])
+    with decoding(path):
+        return WaveTrain(tuple(doc["slots"]), doc["t"], doc["k"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bitstring import BitString
 from .errors import InfeasibleDesignError
-from .jsonio import read_json, write_json
+from .jsonio import decoding, read_json, write_json
 
 MAX_REPETITION = 1023
 DEFAULT_EPSILON = 2.0**-40
@@ -212,11 +212,12 @@ def save_helper(helper: HelperData, path) -> None:
 
 def load_helper(path) -> HelperData:
     doc = read_json(path)
-    params = RepetitionParams(doc["n_rep"], doc["n_blocks"])
-    return HelperData(
-        BitString.from_hex(doc["sketch_hex"], params.code_len),
-        BitString.from_hex(doc["seed_hex"], params.code_len + doc["key_len"] - 1),
-        doc["key_len"],
-        params,
-        bytes.fromhex(doc["checksum_hex"]),
-    )
+    with decoding(path):
+        params = RepetitionParams(doc["n_rep"], doc["n_blocks"])
+        return HelperData(
+            BitString.from_hex(doc["sketch_hex"], params.code_len),
+            BitString.from_hex(doc["seed_hex"], params.code_len + doc["key_len"] - 1),
+            doc["key_len"],
+            params,
+            bytes.fromhex(doc["checksum_hex"]),
+        )

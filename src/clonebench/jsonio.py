@@ -1,6 +1,7 @@
 """Canonical JSON persistence: versioned documents, byte-stable dumps."""
 import json
 import os
+from contextlib import contextmanager
 
 from .errors import DataFormatError
 
@@ -12,10 +13,14 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj, secret: bool = False) -> None:
+    """Write ``obj`` canonically; a secret document is 0600 before any byte lands."""
     doc = dict(obj)
     doc.setdefault("schema_version", SCHEMA_VERSION)
-    with open(path, "w", encoding="utf-8") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if secret else 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        if secret:
+            os.fchmod(fd, 0o600)  # a file that already existed keeps its old mode otherwise
         fh.write(dumps_canonical(doc))
         fh.write("\n")
 
@@ -34,9 +39,10 @@ def read_json(path) -> dict:
     return doc
 
 
-def restrict_permissions(path) -> None:
-    """Best-effort 0600 on files holding secret material."""
+@contextmanager
+def decoding(path):
+    """Report a missing or ill-typed field while decoding ``path`` as DataFormatError."""
     try:
-        os.chmod(path, 0o600)
-    except OSError:
-        pass
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: missing or malformed field: {exc}") from exc

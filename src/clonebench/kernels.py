@@ -1,31 +1,10 @@
-"""Hot numeric kernels: batched cipher rounds and 4-bit S-box table audits.
+"""Hot numeric kernels: batched cipher rounds and 4-bit S-box table audits, in numpy.
 
-Each kernel has a numba ``@njit`` implementation and a pure-numpy fallback that
-compute identical results.  The backend is picked per call from the environment
-variable ``CLONEBENCH_BACKEND`` (``numba``, ``numpy``, or unset for automatic:
-numba when importable, numpy otherwise).  ``benchmarks/benchmark_kernels.py``
-compares the two paths.
+One SPN kernel serves both directions: :class:`clonebench.suc.SucDevice`
+builds an encrypt table set and an equivalent-inverse decrypt table set, and
+runs either through :func:`spn_batch`.
 """
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, uint64
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    uint64 = np.uint64
-
-_ENV_FLAG = "CLONEBENCH_BACKEND"
 
 # (-1)^popcount(m & v) for 4-bit m, v
 _PARITY_SIGN = np.array(
@@ -35,37 +14,18 @@ _PARITY_SIGN = np.array(
 
 
 def active_backend() -> str:
-    """Resolve the kernel backend from the environment (checked on every call)."""
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("CLONEBENCH_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise ValueError(f"unknown {_ENV_FLAG} value: {choice!r}")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 # --------------------------------------------------------------------------- SPN rounds
-@njit(cache=True)
-def _spn_encrypt_numba(states, tables, keys):  # pragma: no cover - measured via dispatch
-    out = np.empty_like(states)
-    n_rounds = tables.shape[0]
-    for idx in range(states.shape[0]):
-        s = states[idx]
-        for r in range(n_rounds):
-            s ^= keys[r]
-            acc = uint64(0)
-            for j in range(16):
-                acc |= tables[r, j, (s >> uint64(4 * j)) & uint64(15)]
-            s = acc
-        out[idx] = s ^ keys[n_rounds]
-    return out
+def spn_batch(states, tables, keys):
+    """Run SPN rounds over a uint64 block array.
 
-
-def _spn_encrypt_numpy(states, tables, keys):
+    Round r XORs ``keys[r]`` into the state, then ORs together
+    ``tables[r, j, nibble_j]`` over the 16 nibbles; ``keys[-1]`` whitens the
+    output.  tables is (rounds, 16, 16) uint64, keys is (rounds + 1,) uint64.
+    """
     s = states.copy()
     n_rounds = tables.shape[0]
     for r in range(n_rounds):
@@ -78,85 +38,10 @@ def _spn_encrypt_numpy(states, tables, keys):
     return s ^ keys[n_rounds]
 
 
-@njit(cache=True)
-def _spn_decrypt_numba(states, perm_tables, sbox_tables, keys):  # pragma: no cover
-    out = np.empty_like(states)
-    n_rounds = sbox_tables.shape[0]
-    for idx in range(states.shape[0]):
-        s = states[idx] ^ keys[n_rounds]
-        for r in range(n_rounds - 1, -1, -1):
-            acc = uint64(0)
-            for j in range(16):
-                acc |= perm_tables[j, (s >> uint64(4 * j)) & uint64(15)]
-            s = uint64(0)
-            for j in range(16):
-                s |= sbox_tables[r, j, (acc >> uint64(4 * j)) & uint64(15)]
-            s ^= keys[r]
-        out[idx] = s
-    return out
-
-
-def _spn_decrypt_numpy(states, perm_tables, sbox_tables, keys):
-    s = states ^ keys[sbox_tables.shape[0]]
-    for r in range(sbox_tables.shape[0] - 1, -1, -1):
-        acc = np.zeros_like(s)
-        for j in range(16):
-            nib = ((s >> np.uint64(4 * j)) & np.uint64(15)).astype(np.int64)
-            acc |= perm_tables[j, nib]
-        s = np.zeros_like(acc)
-        for j in range(16):
-            nib = ((acc >> np.uint64(4 * j)) & np.uint64(15)).astype(np.int64)
-            s |= sbox_tables[r, j, nib]
-        s ^= keys[r]
-    return s
-
-
-def spn_encrypt_batch(states, tables, keys):
-    """Run the full SPN over a uint64 block array; tables are (rounds, 16, 16) uint64."""
-    if active_backend() == "numba":
-        return _spn_encrypt_numba(states, tables, keys)
-    return _spn_encrypt_numpy(states, tables, keys)
-
-
-def spn_decrypt_batch(states, perm_tables, sbox_tables, keys):
-    if active_backend() == "numba":
-        return _spn_decrypt_numba(states, perm_tables, sbox_tables, keys)
-    return _spn_decrypt_numpy(states, perm_tables, sbox_tables, keys)
-
-
 # --------------------------------------------------------------------------- S-box audit
-@njit(cache=True)
-def _sbox_audit_numba(tables, parity_sign):  # pragma: no cover - measured via dispatch
-    n = tables.shape[0]
-    ddt_max = np.zeros(n, np.int64)
-    walsh_max = np.zeros(n, np.int64)
-    counts = np.zeros(16, np.int64)
-    for t in range(n):
-        dmax = 0
-        for a in range(1, 16):
-            for b in range(16):
-                counts[b] = 0
-            for x in range(16):
-                counts[tables[t, x ^ a] ^ tables[t, x]] += 1
-            for b in range(1, 16):
-                if counts[b] > dmax:
-                    dmax = counts[b]
-        ddt_max[t] = dmax
-        wmax = 0
-        for a in range(1, 16):
-            for b in range(1, 16):
-                w = 0
-                for x in range(16):
-                    w += parity_sign[a, x] * parity_sign[b, tables[t, x]]
-                if w < 0:
-                    w = -w
-                if w > wmax:
-                    wmax = w
-        walsh_max[t] = wmax
-    return ddt_max, walsh_max
-
-
-def _sbox_audit_numpy(tables, parity_sign):
+def sbox_audit_batch(tables):
+    """Max nonzero DDT entry and max |Walsh| over nonzero masks, per (n, 16) uint8 table."""
+    tables = np.ascontiguousarray(tables, dtype=np.uint8)
     n = tables.shape[0]
     ddt_max = np.zeros(n, np.int64)
     rows = np.repeat(np.arange(n), 16)
@@ -170,16 +55,8 @@ def _sbox_audit_numpy(tables, parity_sign):
     walsh_max = np.zeros(n, np.int64)
     t64 = tables.astype(np.int64)
     for a in range(1, 16):
-        pa = parity_sign[a, cols]
+        pa = _PARITY_SIGN[a, cols]
         for b in range(1, 16):
-            w = (pa[None, :] * parity_sign[b, t64]).sum(axis=1)
+            w = (pa[None, :] * _PARITY_SIGN[b, t64]).sum(axis=1)
             walsh_max = np.maximum(walsh_max, np.abs(w))
     return ddt_max, walsh_max
-
-
-def sbox_audit_batch(tables):
-    """Max nonzero DDT entry and max |Walsh| over nonzero masks, per (n, 16) uint8 table."""
-    tables = np.ascontiguousarray(tables, dtype=np.uint8)
-    if active_backend() == "numba":
-        return _sbox_audit_numba(tables, _PARITY_SIGN)
-    return _sbox_audit_numpy(tables, _PARITY_SIGN)

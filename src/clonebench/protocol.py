@@ -16,7 +16,7 @@ from .acoustic import Fingerprint
 from .bitstring import BitString
 from .errors import DataFormatError
 from .fuzzy import HelperData, fe_reproduce_detail
-from .jsonio import read_json, write_json
+from .jsonio import decoding, read_json, write_json
 from .puf import ArbiterPuf, SramPuf, arbiter_eval, sram_startup
 from .suc import SucDevice, descriptor_secret_strings
 
@@ -307,12 +307,9 @@ def _entry_records(entry: dict) -> list:
     r_bits = entry.get("r_bits")
     out = []
     for row in entry.get("records", []):
-        try:
-            challenge = BitString.from_hex(row["c_hex"], c_bits)
-            response = BitString.from_hex(row["r_hex"], r_bits)
-            out.append(CrpRecord(challenge, response, bool(row["used"])))
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"bad CRP record: {exc}") from exc
+        challenge = BitString.from_hex(row["c_hex"], c_bits)
+        response = BitString.from_hex(row["r_hex"], r_bits)
+        out.append(CrpRecord(challenge, response, bool(row["used"])))
     return out
 
 
@@ -339,14 +336,12 @@ def load_store(path) -> CrpStore:
     if mode not in (FORWARD, INVERSE):
         raise DataFormatError(f"{path}: bad store mode {mode!r}")
     store = CrpStore(mode=mode)
-    try:
+    with decoding(path):
         if "device_id" in doc:
             store.records[doc["device_id"]] = _entry_records(doc)
         else:
             for entry in doc["devices"]:
                 store.records[entry["device_id"]] = _entry_records(entry)
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing field {exc}") from exc
     return store
 
 

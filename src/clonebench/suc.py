@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels, trails
 from .bitstring import BitString
 from .errors import DataFormatError, GenerationFailureError
-from .jsonio import read_json, restrict_permissions, write_json
+from .jsonio import decoding, read_json, write_json
 from .rng import substream
 
 #: bit i of the state moves to position 16*i mod 63 (position 63 is fixed)
@@ -164,38 +164,47 @@ class SucDevice:
     """A personalized cipher instance; the descriptor never leaves this object
     except through :func:`save_device` on an explicitly provided path."""
 
-    __slots__ = ("device_id", "params", "_sboxes", "_master_key", "_enc", "_dec_perm", "_dec_sbox", "_keys")
+    __slots__ = ("device_id", "params", "_sboxes", "_master_key", "_enc", "_enc_keys", "_dec", "_dec_keys")
 
     def __init__(self, device_id: str, params: SucParams, sboxes: np.ndarray, master_key: int):
         sboxes = np.asarray(sboxes, dtype=np.uint8)
         if sboxes.shape != (params.rounds, 16):
             raise ValueError("need one 16-entry S-box per round")
+        if not np.array_equal(np.sort(sboxes, axis=1), np.broadcast_to(np.arange(16), sboxes.shape)):
+            raise ValueError("every S-box must be a bijection on 0..15")
         self.device_id = str(device_id)
         self.params = params
         self._sboxes = sboxes
         self._master_key = int(master_key)
         perm = np.asarray(params.permutation, dtype=np.int64)
         place = _perm_place_tables(perm)
-        enc = np.zeros((params.rounds, 16, 16), dtype=np.uint64)
-        dec_sbox = np.zeros((params.rounds, 16, 16), dtype=np.uint64)
-        for r in range(params.rounds):
-            inv = np.argsort(sboxes[r])
-            for j in range(16):
-                enc[r, j] = place[j, sboxes[r]]
-                dec_sbox[r, j] = inv.astype(np.uint64) << np.uint64(4 * j)
-        self._enc = enc
-        self._dec_perm = _perm_place_tables(np.argsort(perm))
-        self._dec_sbox = dec_sbox
-        self._keys = round_keys(self._master_key, params.rounds, params.key_bits)
+        inv_place = _perm_place_tables(np.argsort(perm))
+        inv_sboxes = np.argsort(sboxes, axis=1)
+        keys = round_keys(self._master_key, params.rounds, params.key_bits)
+        self._enc = np.stack([place[:, sbox] for sbox in sboxes])
+        self._enc_keys = keys
+        # Equivalent inverse cipher (Daemen & Rijmen, The Design of Rijndael, 2002):
+        # P^-1 is linear, so P^-1(x ^ k) = P^-1(x) ^ P^-1(k) and each P^-1 moves
+        # ahead of the key XOR that follows it.  Table round 0 is P^-1 alone with
+        # key 0; round i in 1..R-1 XORs P^-1(k[R-i+1]), inverts S-box R-i and
+        # applies P^-1; round R XORs P^-1(k[1]) and inverts S-box 0; k[0] whitens.
+        self._dec = np.stack(
+            [inv_place]
+            + [inv_place[:, inv] for inv in inv_sboxes[:0:-1]]
+            + [_perm_place_tables(np.arange(64))[:, inv_sboxes[0]]]
+        )
+        # one keyless table round of P^-1 alone permutes every round key at once
+        inv_keys = kernels.spn_batch(keys, inv_place[None], np.zeros(2, dtype=np.uint64))
+        self._dec_keys = np.concatenate((np.zeros(1, dtype=np.uint64), inv_keys[:0:-1], keys[:1]))
 
     # ------------------------------------------------------------- block API
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-        return kernels.spn_encrypt_batch(blocks, self._enc, self._keys)
+        return kernels.spn_batch(blocks, self._enc, self._enc_keys)
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-        return kernels.spn_decrypt_batch(blocks, self._dec_perm, self._dec_sbox, self._keys)
+        return kernels.spn_batch(blocks, self._dec, self._dec_keys)
 
     def encrypt(self, x: BitString) -> BitString:
         if len(x) != self.params.block_bits:
@@ -211,14 +220,6 @@ class SucDevice:
 
     def __repr__(self):
         return f"SucDevice(device_id={self.device_id!r}, rounds={self.params.rounds})"
-
-
-def suc_encrypt(dev: SucDevice, x: BitString) -> BitString:
-    return dev.encrypt(x)
-
-
-def suc_decrypt(dev: SucDevice, y: BitString) -> BitString:
-    return dev.decrypt(y)
 
 
 def personalize(params: SucParams, trng, device_id: str) -> SucDevice:
@@ -275,8 +276,8 @@ def save_device(dev: SucDevice, path) -> None:
             },
             "descriptor": descriptor_dict(dev),
         },
+        secret=True,
     )
-    restrict_permissions(path)
 
 
 def descriptor_dict(dev: SucDevice) -> dict:
@@ -297,18 +298,19 @@ def load_device(path) -> SucDevice:
     doc = read_json(path)
     if doc.get("kind") != "suc_device":
         raise DataFormatError(f"{path}: not a SUC device file")
-    p = doc["params"]
-    params = SucParams(
-        rounds=p["rounds"],
-        key_bits=p["key_bits"],
-        sbox_ddt_max=p["sbox_ddt_max"],
-        sbox_walsh_max=p["sbox_walsh_max"],
-        permutation=tuple(p["permutation"]),
-    )
-    desc = doc["descriptor"]
-    return SucDevice(
-        doc["device_id"],
-        params,
-        np.array(desc["sboxes"], dtype=np.uint8),
-        int(desc["master_key_hex"], 16),
-    )
+    with decoding(path):
+        p = doc["params"]
+        params = SucParams(
+            rounds=p["rounds"],
+            key_bits=p["key_bits"],
+            sbox_ddt_max=p["sbox_ddt_max"],
+            sbox_walsh_max=p["sbox_walsh_max"],
+            permutation=tuple(p["permutation"]),
+        )
+        desc = doc["descriptor"]
+        return SucDevice(
+            doc["device_id"],
+            params,
+            np.array(desc["sboxes"], dtype=np.uint8),
+            int(desc["master_key_hex"], 16),
+        )

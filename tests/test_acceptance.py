@@ -38,8 +38,14 @@ def test_c02_fuzzy_extractor_corrects_quarter_errors():
     _report(2, "fe-correction", result["passed"], detail)
 
 
-def test_c03_suc_cardinality():
-    result = repro.suc_bounds_experiment(SEED)
+@pytest.fixture(scope="module")
+def suc_bounds():
+    # c03 and c04 check different fields of the same seeded experiment
+    return repro.suc_bounds_experiment(SEED)
+
+
+def test_c03_suc_cardinality(suc_bounds):
+    result = suc_bounds
     ok = result["cardinality_bits"] >= 274.0 and result["batch_gap_bits"] <= 0.5
     detail = (
         f"cardinality {result['cardinality_bits']:.1f} bits (need >= 274), "
@@ -48,8 +54,8 @@ def test_c03_suc_cardinality():
     _report(3, "suc-cardinality", ok, detail)
 
 
-def test_c04_suc_attack_bounds():
-    result = repro.suc_bounds_experiment(SEED)
+def test_c04_suc_attack_bounds(suc_bounds):
+    result = suc_bounds
     ok = (
         result["min_active_sboxes"] >= 40
         and result["diff_complexity_log2"] >= 80.0

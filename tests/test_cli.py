@@ -187,3 +187,46 @@ def test_attack_model_verb_small(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["accuracy"] >= 0.9
+
+
+def _write_doc(path, doc):
+    path.write_text(json.dumps(dict(doc, schema_version=1)))
+    return str(path)
+
+
+def test_malformed_device_file_exit_code(tmp_path, capsys):
+    missing = _write_doc(tmp_path / "missing.json", {"kind": "suc_device", "device_id": "x"})
+    assert cli.main(["suc", "encrypt", "--device", missing, "--block-hex", "00"]) == 3
+    dev = tmp_path / "dev.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "m", "--rounds", "4", "--seed", "70", "--device-out", str(dev))
+    doc = json.loads(dev.read_text())
+    doc["descriptor"]["sboxes"][0] = [0] * 16
+    bad_sbox = _write_doc(tmp_path / "bad-sbox.json", doc)
+    assert cli.main(["suc", "encrypt", "--device", bad_sbox, "--block-hex", "00"]) == 3
+
+
+def test_malformed_helper_file_exit_code(tmp_path, capsys):
+    missing = _write_doc(tmp_path / "missing.json", {"n_rep": 3})
+    assert cli.main(["fe", "reproduce", "--input-hex", "abcdef", "--helper", missing]) == 3
+    ill_typed = _write_doc(
+        tmp_path / "ill-typed.json",
+        {"n_rep": "3", "n_blocks": 8, "key_len": 16, "sketch_hex": "00", "seed_hex": "00", "checksum_hex": "00"},
+    )
+    assert cli.main(["fe", "reproduce", "--input-hex", "abcdef", "--helper", ill_typed]) == 3
+
+
+def test_malformed_fingerprint_file_exit_code(tmp_path, capsys):
+    dev = tmp_path / "dev.json"
+    store = tmp_path / "store.json"
+    helper = tmp_path / "helper.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "fp", "--rounds", "4", "--seed", "71", "--device-out", str(dev))
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "1", "--store", str(store), "--seed", "72")
+    run_cli(
+        capsys, "fe", "generate", "--input-hex", "abcdef", "--n-rep", "3", "--blocks", "8",
+        "--key-len", "16", "--helper-out", str(helper), "--seed", "73",
+    )
+    argv = ["combined-verify", "--device", str(dev), "--store", str(store), "--helper", str(helper), "--seed", "74"]
+    missing = _write_doc(tmp_path / "missing.json", {"bits_hex": "abcdef"})
+    assert cli.main(argv + ["--fingerprint", missing]) == 3
+    ill_typed = _write_doc(tmp_path / "ill-typed.json", {"bits_hex": "abcdef", "n_bins": 24, "thresholds": "high"})
+    assert cli.main(argv + ["--fingerprint", ill_typed]) == 3

@@ -1,56 +1,16 @@
-"""Both kernel backends must agree bit for bit; the env flag picks the path."""
+"""The numpy kernels: S-box audits against the scalar reference."""
 import numpy as np
-import pytest
 
 from clonebench import kernels, substream
-from clonebench.suc import SucParams, personalize
 
 
-def _device(rounds=6):
-    return personalize(SucParams(rounds=rounds), substream(11, "kern"), "kern-dev")
-
-
-def test_backend_flag(monkeypatch):
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "numpy")
+def test_backend_flag():
     assert kernels.active_backend() == "numpy"
-    monkeypatch.delenv("CLONEBENCH_BACKEND")
-    assert kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
 
 
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_spn_backends_agree(monkeypatch):
-    dev = _device()
-    blocks = substream(12, "blocks").integers(0, 2**63, 4096, dtype=np.uint64)
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "numba")
-    enc_nb = dev.encrypt_blocks(blocks)
-    dec_nb = dev.decrypt_blocks(enc_nb)
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "numpy")
-    enc_np = dev.encrypt_blocks(blocks)
-    dec_np = dev.decrypt_blocks(enc_np)
-    assert np.array_equal(enc_nb, enc_np)
-    assert np.array_equal(dec_nb, dec_np)
-    assert np.array_equal(dec_np, blocks)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_audit_backends_agree(monkeypatch):
-    rng = substream(13, "audit")
-    tables = np.argsort(rng.random((512, 16)), axis=1).astype(np.uint8)
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "numba")
-    d_nb, w_nb = kernels.sbox_audit_batch(tables)
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "numpy")
-    d_np, w_np = kernels.sbox_audit_batch(tables)
-    assert np.array_equal(d_nb, d_np)
-    assert np.array_equal(w_nb, w_np)
-
-
-def test_audit_batch_matches_scalar_reference(monkeypatch):
+def test_audit_batch_matches_scalar_reference():
     from clonebench.suc import sbox_audit
 
-    monkeypatch.setenv("CLONEBENCH_BACKEND", "numpy")
     rng = substream(14, "audit-ref")
     tables = np.argsort(rng.random((32, 16)), axis=1).astype(np.uint8)
     d, w = kernels.sbox_audit_batch(tables)

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import numpy as np
@@ -65,8 +66,6 @@ def test_store_file_roundtrips_byte_identically(tmp_path):
 
 
 def test_store_flat_schema_fields(tmp_path):
-    import json
-
     store = _enrolled(_device(), 2)
     path = tmp_path / "store.json"
     protocol.save_store(store, path)
@@ -81,6 +80,19 @@ def test_store_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema_version": 99, "mode": "forward", "device_id": "x", "records": []}')
     with pytest.raises(DataFormatError):
         protocol.load_store(path)
+
+
+def test_store_rejects_missing_or_ill_typed_fields(tmp_path):
+    path = tmp_path / "bad.json"
+    for doc in (
+        {"mode": "forward", "device_id": "x", "records": 5},
+        {"mode": "forward", "device_id": "x", "c_bits": "64", "records": [{"c_hex": "00", "r_hex": "00", "used": False}]},
+        {"mode": "forward", "device_id": "x", "records": [{"c_hex": "00"}]},
+        {"mode": "forward", "devices": [{"records": []}]},
+    ):
+        path.write_text(json.dumps(dict(doc, schema_version=1)))
+        with pytest.raises(DataFormatError):
+            protocol.load_store(path)
 
 
 # ----------------------------------------------------------------- identify

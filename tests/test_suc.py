@@ -1,3 +1,7 @@
+import json
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -205,3 +209,45 @@ def test_device_file_roundtrip(tmp_path):
     assert np.array_equal(device.encrypt_blocks(blocks), loaded.encrypt_blocks(blocks))
     with pytest.raises(DataFormatError):
         suc.load_device(tmp_path / "missing.json")
+
+
+def test_non_bijective_sbox_rejected():
+    device = _device(rounds=4, seed=23)
+    sboxes = device._sboxes.copy()
+    sboxes[2] = 0
+    with pytest.raises(ValueError):
+        suc.SucDevice("bad", device.params, sboxes, device._master_key)
+
+
+def test_device_file_missing_or_ill_typed_fields(tmp_path):
+    device = _device(rounds=4, seed=24)
+    path = tmp_path / "dev.json"
+    suc.save_device(device, path)
+    good = json.loads(path.read_text())
+    for mutate in (
+        lambda d: d.pop("params"),
+        lambda d: d["descriptor"].pop("master_key_hex"),
+        lambda d: d["params"].update(rounds="four"),
+        lambda d: d["descriptor"].update(master_key_hex=5),
+        lambda d: d["descriptor"].update(sboxes=[[-1] * 16] * 4),
+        lambda d: d["descriptor"]["sboxes"].__setitem__(2, [0] * 16),
+    ):
+        doc = json.loads(json.dumps(good))
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError):
+            suc.load_device(path)
+
+
+def test_device_file_is_private_from_creation(tmp_path, monkeypatch):
+    existing = tmp_path / "existing.json"
+    existing.write_text("{}")
+    existing.chmod(0o644)
+    # a chmod after the write would leave a window; the mode must come from creation
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    device = _device(rounds=4, seed=25)
+    fresh = tmp_path / "fresh.json"
+    suc.save_device(device, fresh)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o600
+    suc.save_device(device, existing)
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o600
