@@ -12,53 +12,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jsonio import SCHEMA_VERSION
-from .puf import ArbiterPuf, SramPuf, arbiter_eval_batch, parity_transform, xor_arbiter_eval_batch
+from .puf import ArbiterPuf, SramPuf, parity_transform
 from .suc import SucDevice
 
 #: ciphertext bit index the cipher attack tries to predict (MSB)
 SUC_TARGET_BIT = 0
 
+#: XOR-arbiter attacks are scoped to at most this many member arbiters
+XOR_ATTACK_MAX_K = 4
+
 
 # --------------------------------------------------------------------------- targets
-class ArbiterTarget:
-    def __init__(self, puf: ArbiterPuf):
-        self.puf = puf
-        self.name = "arbiter"
-        self.n_bits = puf.n_stages
-
-    def respond(self, challenges: np.ndarray) -> np.ndarray:
-        return arbiter_eval_batch(self.puf, challenges)
-
-
-class XorArbiterTarget:
-    def __init__(self, pufs):
-        self.pufs = tuple(pufs)
-        self.name = f"xor_arbiter_k{len(self.pufs)}"
-        self.n_bits = self.pufs[0].n_stages
-        if len(self.pufs) > 4:
-            raise ValueError("XOR-arbiter attacks are scoped to k <= 4")
-
-    def respond(self, challenges: np.ndarray) -> np.ndarray:
-        return xor_arbiter_eval_batch(self.pufs, challenges)
+def ArbiterTarget(puf: ArbiterPuf) -> ArbiterPuf:
+    """The arbiter itself; kept only because the benchmark's workloads call it."""
+    return puf
 
 
 class SucBitTarget:
     """Response bit = one fixed ciphertext bit, making the comparison model-for-model fair."""
 
+    name = "suc_bit"
+
     def __init__(self, device: SucDevice, bit_index: int = SUC_TARGET_BIT):
-        if not 0 <= bit_index < device.params.block_bits:
+        if not 0 <= bit_index < device.challenge_bits:
             raise ValueError("bit_index out of range")
         self.device = device
         self.bit_index = bit_index
-        self.name = "suc_bit"
-        self.n_bits = device.params.block_bits
+        self.challenge_bits = device.challenge_bits
 
-    def respond(self, challenges: np.ndarray) -> np.ndarray:
-        challenges = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
-        blocks = np.packbits(challenges, axis=1).view(">u8").ravel().astype(np.uint64)
-        cipher = self.device.encrypt_blocks(blocks)
-        shift = np.uint64(self.n_bits - 1 - self.bit_index)
-        return ((cipher >> shift) & np.uint64(1)).astype(np.uint8)
+    def respond(self, challenges) -> np.ndarray:
+        return self.device.respond(challenges)[self.bit_index :: self.challenge_bits]
 
 
 # --------------------------------------------------------------------------- data + model
@@ -98,10 +81,16 @@ class AttackReport:
 
 
 def collect_crps(target, n: int, rng) -> CrpDataset:
-    """n uniform challenges measured noiselessly at nominal conditions (attacker's best case)."""
+    """n uniform challenges measured noiselessly at nominal conditions (attacker's best case).
+
+    ``target`` is any device with a one-bit response, such as an ArbiterPuf or
+    an XorArbiter, or a SucBitTarget.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    challenges = rng.integers(0, 2, (n, target.n_bits), dtype=np.uint8)
+    if len(getattr(target, "members", ())) > XOR_ATTACK_MAX_K:
+        raise ValueError(f"XOR-arbiter attacks are scoped to k <= {XOR_ATTACK_MAX_K}")
+    challenges = rng.integers(0, 2, (n, target.challenge_bits), dtype=np.uint8)
     return CrpDataset(challenges, target.respond(challenges), target.name)
 
 

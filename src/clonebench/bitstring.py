@@ -71,6 +71,11 @@ class BitString:
     def __iter__(self):
         return iter(int(b) for b in self._bits)
 
+    def __array__(self, dtype=None, copy=None):
+        """NumPy view of the bits, so a list of BitStrings converts as one matrix."""
+        bits = self._bits if dtype is None else self._bits.astype(dtype, copy=False)
+        return bits.copy() if copy else bits
+
     # ------------------------------------------------------------- codecs
     def to_hex(self) -> str:
         """Lowercase hex, MSB first; a final partial nibble is zero-padded on the right."""

@@ -64,12 +64,9 @@ def _build_puf(args, seed):
 
 
 def _puf_challenges(device, n, rng):
-    if isinstance(device, puf.SramPuf):
+    if not device.challenge_bits:
         return None
-    if isinstance(device, puf.RoPuf):
-        return None
-    stages = device[0].n_stages if isinstance(device, tuple) else device.n_stages
-    return [BitString.random(stages, rng) for _ in range(n)]
+    return [BitString.random(device.challenge_bits, rng) for _ in range(n)]
 
 
 def cmd_puf_simulate(args):
@@ -78,10 +75,10 @@ def cmd_puf_simulate(args):
     env = _env_from_args(args)
     rng = substream(seed, "puf-simulate")
     challenges = _puf_challenges(device, args.challenges, rng)
-    noisy = metrics.noisy_response(device, env, rng, challenges)
-    reference = metrics.nominal_response(device, challenges)
+    noisy = device.respond(challenges, env, rng)
+    reference = device.respond(challenges)
     result = {
-        "descriptor": puf.device_descriptor(device),
+        "descriptor": device.descriptor(),
         "seed": seed,
         "temperature_c": env.temperature_c,
         "voltage_v": env.voltage_v,
@@ -293,9 +290,9 @@ def cmd_combined_verify(args):
 def cmd_attack_model(args):
     seed = _resolve_seed(args)
     if args.target == "arbiter":
-        target = attacks.ArbiterTarget(puf.arbiter_new(args.stages, seed))
+        target = puf.arbiter_new(args.stages, seed)
     elif args.target == "xor":
-        target = attacks.XorArbiterTarget(puf.xor_arbiter_new(args.stages, args.k, seed))
+        target = puf.xor_arbiter_new(args.stages, args.k, seed)
     elif args.target == "suc":
         device = suc.personalize(suc.SucParams(), substream(seed, "attack-target"), "attack-target")
         target = attacks.SucBitTarget(device)
@@ -515,7 +512,7 @@ def main(argv=None) -> int:
     line = dumps_canonical(result)
     print(line)
     if getattr(args, "out", None):
-        write_json(args.out, result)
+        write_json(args.out, result, secret=getattr(args, "unsafe_dump", False))
     return code
 
 

@@ -14,15 +14,26 @@ def dumps_canonical(obj) -> str:
 
 
 def write_json(path, obj, secret: bool = False) -> None:
-    """Write ``obj`` canonically; a secret document is 0600 before any byte lands."""
+    """Write ``obj`` canonically and atomically; a secret document is 0600 before any byte lands.
+
+    The document goes to a fresh temp file beside ``path``, is fsynced and then
+    renamed over ``path``, so a reader or a crash sees the old file or the new
+    one, never a torn one.
+    """
     doc = dict(obj)
     doc.setdefault("schema_version", SCHEMA_VERSION)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if secret else 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        if secret:
-            os.fchmod(fd, 0o600)  # a file that already existed keeps its old mode otherwise
-        fh.write(dumps_canonical(doc))
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if secret else 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(dumps_canonical(doc))
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_json(path) -> dict:

@@ -6,21 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import dof_estimate, pairwise_distance_stats
-from .bitstring import BitString
-from .environment import NOMINAL, EnvironmentConditions
 from .jsonio import SCHEMA_VERSION
-from .puf import (
-    ArbiterPuf,
-    RoPuf,
-    SramPuf,
-    arbiter_eval_batch,
-    ro_default_pairs,
-    ro_response,
-    sram_reference,
-    sram_startup,
-    xor_arbiter_eval_batch,
-)
-from .suc import SucDevice
 
 
 @dataclass(frozen=True)
@@ -82,74 +68,21 @@ class ReliabilityTable:
         )
 
 
-def _model_name(device) -> str:
-    if isinstance(device, ArbiterPuf):
-        return "arbiter"
-    if isinstance(device, tuple):
-        return f"xor_arbiter_k{len(device)}"
-    if isinstance(device, RoPuf):
-        return "ro"
-    if isinstance(device, SramPuf):
-        return "sram"
-    if isinstance(device, SucDevice):
-        return "suc"
-    raise TypeError(f"unsupported device type {type(device).__name__}")
-
-
-def nominal_response(device, challenges=None) -> np.ndarray:
-    """Zero-noise response bit vector at nominal conditions (the BER reference)."""
-    if isinstance(device, ArbiterPuf):
-        if challenges is None:
-            raise ValueError("arbiter metrics need a challenge list")
-        mat = np.stack([c.bits for c in challenges])
-        return arbiter_eval_batch(device, mat)
-    if isinstance(device, tuple):
-        if challenges is None:
-            raise ValueError("xor-arbiter metrics need a challenge list")
-        mat = np.stack([c.bits for c in challenges])
-        return xor_arbiter_eval_batch(device, mat)
-    if isinstance(device, RoPuf):
-        pairs = ro_default_pairs(device) if challenges is None else challenges
-        return ro_response(device, pairs).bits
-    if isinstance(device, SramPuf):
-        return sram_reference(device).bits
-    if isinstance(device, SucDevice):
-        if challenges is None:
-            raise ValueError("cipher metrics need plaintext challenges")
-        blocks = np.array([c.to_int() for c in challenges], dtype=np.uint64)
-        out = device.encrypt_blocks(blocks)
-        return np.unpackbits(out.astype(">u8").view(np.uint8))
-    raise TypeError(f"unsupported device type {type(device).__name__}")
-
-
-def noisy_response(device, env: EnvironmentConditions, rng, challenges=None) -> np.ndarray:
-    if isinstance(device, ArbiterPuf):
-        mat = np.stack([c.bits for c in challenges])
-        return arbiter_eval_batch(device, mat, env, rng)
-    if isinstance(device, tuple):
-        mat = np.stack([c.bits for c in challenges])
-        return xor_arbiter_eval_batch(device, mat, env, rng)
-    if isinstance(device, RoPuf):
-        pairs = ro_default_pairs(device) if challenges is None else challenges
-        return ro_response(device, pairs, rng).bits
-    if isinstance(device, SramPuf):
-        return sram_startup(device, env, rng).bits
-    if isinstance(device, SucDevice):
-        return nominal_response(device, challenges)  # digital: no analog noise path
-    raise TypeError(f"unsupported device type {type(device).__name__}")
-
-
 def uniqueness(population, challenges=None) -> PopulationReport:
-    """Pairwise fractional Hamming statistics of zero-noise responses across devices."""
+    """Pairwise fractional Hamming statistics of zero-noise responses across devices.
+
+    ``challenges`` is a sequence of BitStrings (or 0/1 rows) for devices that
+    take challenges, and None for those that take none.
+    """
     if len(population) < 2:
         raise ValueError("need at least 2 devices")
     if challenges is not None and len(challenges) < 1:
         raise ValueError("need at least 1 challenge")
-    vectors = np.stack([nominal_response(dev, challenges) for dev in population])
+    vectors = np.stack([dev.respond(challenges) for dev in population])
     mean, var = pairwise_distance_stats(vectors)
     estimate = dof_estimate(vectors)
     return PopulationReport(
-        model=_model_name(population[0]),
+        model=population[0].name,
         n_devices=len(population),
         uniqueness_mean=mean,
         uniqueness_std=float(np.sqrt(var)),
@@ -162,14 +95,14 @@ def reliability(device, env_grid, reps: int, rng, challenges=None) -> Reliabilit
     """BER against the zero-noise nominal reference, per environment grid point."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    reference = nominal_response(device, challenges)
+    reference = device.respond(challenges)
     rows = []
     for env in env_grid:
         errors = 0
         for _ in range(reps):
-            errors += int(np.count_nonzero(noisy_response(device, env, rng, challenges) != reference))
+            errors += int(np.count_nonzero(device.respond(challenges, env, rng) != reference))
         rows.append((env.temperature_c, env.voltage_v, errors / (reps * reference.size)))
-    return ReliabilityTable(_model_name(device), tuple(rows))
+    return ReliabilityTable(device.name, tuple(rows))
 
 
 def uniformity(responses) -> float:
@@ -180,5 +113,5 @@ def uniformity(responses) -> float:
         return float(responses.mean())
     if len(responses) < 1:
         raise ValueError("need at least one response")
-    bits = np.concatenate([r.bits if isinstance(r, BitString) else np.asarray(r) for r in responses])
+    bits = np.concatenate([np.asarray(r) for r in responses])
     return float(bits.mean())

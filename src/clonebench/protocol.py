@@ -17,7 +17,6 @@ from .bitstring import BitString
 from .errors import DataFormatError
 from .fuzzy import HelperData, fe_reproduce_detail
 from .jsonio import decoding, read_json, write_json
-from .puf import ArbiterPuf, SramPuf, arbiter_eval, sram_startup
 from .suc import SucDevice, descriptor_secret_strings
 
 FORWARD = "forward"
@@ -28,6 +27,9 @@ REASON_MISMATCH = "mismatch"
 REASON_DEPLETED = "depleted"
 REASON_REPLAY = "replay"
 REASON_TAMPER = "tamper"
+
+#: a device whose response takes no challenge is enrolled under a power-up index
+POWER_UP_INDEX_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -166,26 +168,6 @@ def tamper_channel(channel: DeviceChannel, flip_positions, n_bits: int = 64) -> 
 
 
 # --------------------------------------------------------------------------- enrollment
-def _respond_for_enroll(device, challenge: BitString) -> BitString:
-    if isinstance(device, SucDevice):
-        return device.encrypt(challenge)
-    if isinstance(device, ArbiterPuf):
-        return BitString([arbiter_eval(device, challenge)])
-    if isinstance(device, SramPuf):
-        return sram_startup(device)
-    raise TypeError(f"cannot enroll {type(device).__name__}")
-
-
-def _challenge_bits(device) -> int:
-    if isinstance(device, SucDevice):
-        return device.params.block_bits
-    if isinstance(device, ArbiterPuf):
-        return device.n_stages
-    if isinstance(device, SramPuf):
-        return 8  # power-up index only; the response carries the identity
-    raise TypeError(f"cannot enroll {type(device).__name__}")
-
-
 def enroll(device, n_pairs: int, rng, store: CrpStore, device_id: str | None = None) -> int:
     """Evaluate n_pairs fresh distinct challenges on the device and bank the records."""
     if n_pairs < 1:
@@ -193,7 +175,7 @@ def enroll(device, n_pairs: int, rng, store: CrpStore, device_id: str | None = N
     device_id = getattr(device, "device_id", device_id) or device_id
     if device_id is None:
         raise ValueError("device_id required for devices that do not carry one")
-    n_bits = _challenge_bits(device)
+    n_bits = device.challenge_bits or POWER_UP_INDEX_BITS
     seen = store.challenges(device_id)
     if n_pairs > (1 << n_bits) - len(seen):
         raise ValueError(f"challenge space exhausted: {n_pairs} fresh pairs of {n_bits} bits")
@@ -204,15 +186,10 @@ def enroll(device, n_pairs: int, rng, store: CrpStore, device_id: str | None = N
             continue
         seen.add(c)
         fresh.append(c)
-    if isinstance(device, SucDevice):
-        blocks = np.array([c.to_int() for c in fresh], dtype=np.uint64)
-        replies = device.encrypt_blocks(blocks)
-        records = [
-            CrpRecord(c, BitString.from_int(int(r), n_bits)) for c, r in zip(fresh, replies)
-        ]
-    else:
-        records = [CrpRecord(c, _respond_for_enroll(device, c)) for c in fresh]
-    store.device_records(device_id).extend(records)
+    replies = device.respond(fresh).reshape(n_pairs, -1)
+    records = [CrpRecord(c, BitString(r)) for c, r in zip(fresh, replies)]
+    with store._lock:
+        store.device_records(device_id).extend(records)
     return len(records)
 
 

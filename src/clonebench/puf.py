@@ -5,6 +5,12 @@ comes from the explicit generator handle passed to each evaluation.  Passing
 ``rng=None`` evaluates the noiseless reference behavior, which is also what the
 population metrics use.
 
+Every device type, these PUFs and :class:`clonebench.suc.SucDevice` alike,
+answers one interface: ``name``, ``challenge_bits`` (0 when the response takes
+no challenge) and ``respond(challenges, env=NOMINAL, rng=None)``, which returns
+the response bits of each challenge row concatenated into one uint8 vector.
+The PUFs also give a JSON ``descriptor()``; the cipher has no readout path.
+
 The arbiter model keeps both routes to a response: the exact linear-threshold
 form ``sign(w . phi(c))`` used everywhere, and a direct stage-by-stage race
 simulation (``arbiter_eval_path``) that the linear weights are checked against.
@@ -35,6 +41,15 @@ def env_scale(env: EnvironmentConditions) -> float:
     return 1.0 + 0.01 * abs(env.temperature_c - 25.0)
 
 
+def _per_row(challenges, evaluate) -> np.ndarray:
+    """One evaluation per challenge row, or a single one when given none.
+
+    For a device whose response takes no challenge; the rows' bits are unused.
+    """
+    n = 1 if challenges is None else len(challenges)
+    return np.concatenate([evaluate() for _ in range(n)])
+
+
 # =====================================================================  arbiter
 @dataclass(frozen=True, eq=False)
 class ArbiterPuf:
@@ -43,6 +58,22 @@ class ArbiterPuf:
     weights: np.ndarray  # (n_stages + 1,), exact linear reduction of the delays
     noise_sigma: float
     seed: int
+
+    name = "arbiter"
+
+    @property
+    def challenge_bits(self) -> int:
+        return self.n_stages
+
+    def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
+        return arbiter_eval_batch(self, challenges, env, rng)
+
+    def descriptor(self) -> dict:
+        return {
+            "model": "arbiter",
+            "params": {"n_stages": self.n_stages, "noise_sigma": self.noise_sigma},
+            "seed": self.seed,
+        }
 
 
 def derive_weights(stage_delays: np.ndarray) -> np.ndarray:
@@ -86,8 +117,6 @@ def arbiter_new(n_stages: int, seed: int, noise_sigma: float = 0.0) -> ArbiterPu
 
 
 def _challenge_matrix(puf: ArbiterPuf, challenges) -> np.ndarray:
-    if isinstance(challenges, BitString):
-        challenges = challenges.bits[None, :]
     mat = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
     if mat.shape[1] != puf.n_stages:
         raise ValueError(f"challenge length {mat.shape[1]} != {puf.n_stages} stages")
@@ -122,30 +151,54 @@ def arbiter_eval_path(puf: ArbiterPuf, c: BitString) -> int:
     return 1 if (t_top - t_bot) > 0 else 0
 
 
-def xor_arbiter_new(n_stages: int, k: int, seed: int, noise_sigma: float = 0.0):
+@dataclass(frozen=True, eq=False)
+class XorArbiter:
+    """Member arbiters that share every challenge; the response is the XOR of theirs."""
+
+    members: tuple  # of ArbiterPuf
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("need at least one arbiter")
+        if len({p.n_stages for p in self.members}) != 1:
+            raise ValueError("all arbiters must share n_stages")
+
+    @property
+    def name(self) -> str:
+        return f"xor_arbiter_k{len(self.members)}"
+
+    @property
+    def challenge_bits(self) -> int:
+        return self.members[0].n_stages
+
+    def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
+        acc = arbiter_eval_batch(self.members[0], challenges, env, rng)
+        for p in self.members[1:]:
+            acc = acc ^ arbiter_eval_batch(p, challenges, env, rng)
+        return acc
+
+    def descriptor(self) -> dict:
+        first = self.members[0]
+        return {
+            "model": "xor_arbiter",
+            "params": {
+                "n_stages": first.n_stages,
+                "k": len(self.members),
+                "noise_sigma": first.noise_sigma,
+                "member_seeds": [p.seed for p in self.members],
+            },
+            "seed": first.seed,
+        }
+
+
+def xor_arbiter_new(n_stages: int, k: int, seed: int, noise_sigma: float = 0.0) -> XorArbiter:
     """k independent arbiters sharing a challenge, combined by XOR."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return tuple(
+    return XorArbiter(tuple(
         arbiter_new(n_stages, substream(seed, "xor_arbiter", i).integers(0, 2**63), noise_sigma)
         for i in range(k)
-    )
-
-
-def xor_arbiter_eval_batch(pufs, challenges, env=NOMINAL, rng=None) -> np.ndarray:
-    pufs = list(pufs)
-    if not pufs:
-        raise ValueError("need at least one arbiter")
-    if len({p.n_stages for p in pufs}) != 1:
-        raise ValueError("all arbiters must share n_stages")
-    acc = arbiter_eval_batch(pufs[0], challenges, env, rng)
-    for p in pufs[1:]:
-        acc = acc ^ arbiter_eval_batch(p, challenges, env, rng)
-    return acc
-
-
-def xor_arbiter_eval(pufs, c: BitString, env=NOMINAL, rng=None) -> int:
-    return int(xor_arbiter_eval_batch(pufs, c, env, rng)[0])
+    ))
 
 
 # =====================================================================  ring oscillator
@@ -155,6 +208,19 @@ class RoPuf:
     frequencies: np.ndarray  # offsets from the nominal frequency
     meas_sigma: float
     seed: int
+
+    name = "ro"
+    challenge_bits = 0  # the response is the fixed default pair set
+
+    def respond(self, challenges=None, env=NOMINAL, rng=None) -> np.ndarray:
+        return _per_row(challenges, lambda: ro_response(self, None, rng).bits)
+
+    def descriptor(self) -> dict:
+        return {
+            "model": "ro",
+            "params": {"m_oscillators": self.m_oscillators, "meas_sigma": self.meas_sigma},
+            "seed": self.seed,
+        }
 
 
 def ro_new(m_oscillators: int, seed: int, meas_sigma: float = 0.0) -> RoPuf:
@@ -207,6 +273,19 @@ class SramPuf:
     ber_anchors: tuple  # ((temp_c, ber), ...) noise calibration anchors
     seed: int
 
+    name = "sram"
+    challenge_bits = 0  # the response is the whole startup pattern
+
+    def respond(self, challenges=None, env=NOMINAL, rng=None) -> np.ndarray:
+        return _per_row(challenges, lambda: sram_startup(self, env, rng).bits)
+
+    def descriptor(self) -> dict:
+        return {
+            "model": "sram",
+            "params": {"n_cells": self.n_cells, "ber_anchors": [list(a) for a in self.ber_anchors]},
+            "seed": self.seed,
+        }
+
 
 def calibrate_sram_noise(target_ber: float) -> float:
     """Noise sigma giving the target population-average flip rate.
@@ -252,40 +331,6 @@ def sram_startup(puf: SramPuf, env: EnvironmentConditions = NOMINAL, rng=None) -
 
 
 # =====================================================================  descriptors
-def device_descriptor(dev) -> dict:
-    """JSON-serializable {model, params, seed} descriptor for a PUF instance."""
-    if isinstance(dev, ArbiterPuf):
-        return {
-            "model": "arbiter",
-            "params": {"n_stages": dev.n_stages, "noise_sigma": dev.noise_sigma},
-            "seed": dev.seed,
-        }
-    if isinstance(dev, RoPuf):
-        return {
-            "model": "ro",
-            "params": {"m_oscillators": dev.m_oscillators, "meas_sigma": dev.meas_sigma},
-            "seed": dev.seed,
-        }
-    if isinstance(dev, SramPuf):
-        return {
-            "model": "sram",
-            "params": {"n_cells": dev.n_cells, "ber_anchors": [list(a) for a in dev.ber_anchors]},
-            "seed": dev.seed,
-        }
-    if isinstance(dev, tuple) and dev and isinstance(dev[0], ArbiterPuf):
-        return {
-            "model": "xor_arbiter",
-            "params": {
-                "n_stages": dev[0].n_stages,
-                "k": len(dev),
-                "noise_sigma": dev[0].noise_sigma,
-                "member_seeds": [p.seed for p in dev],
-            },
-            "seed": dev[0].seed,
-        }
-    raise TypeError(f"not a PUF instance: {type(dev).__name__}")
-
-
 def device_from_descriptor(doc: dict):
     model = doc.get("model")
     params = doc.get("params", {})
@@ -299,15 +344,15 @@ def device_from_descriptor(doc: dict):
         anchors = DEFAULT_BER_ANCHORS if anchors is None else [tuple(a) for a in anchors]
         return sram_new(params["n_cells"], seed, anchors)
     if model == "xor_arbiter":
-        return tuple(
+        return XorArbiter(tuple(
             arbiter_new(params["n_stages"], s, params.get("noise_sigma", 0.0))
             for s in params["member_seeds"]
-        )
+        ))
     raise ValueError(f"unknown PUF model: {model!r}")
 
 
 def save_puf(dev, path) -> None:
-    write_json(path, device_descriptor(dev))
+    write_json(path, dev.descriptor())
 
 
 def load_puf(path):

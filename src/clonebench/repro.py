@@ -220,7 +220,7 @@ def attack_asymmetry_experiment(
     seed: int, arbiter_train: int = 5000, suc_train: int = 100_000
 ) -> dict:
     """Modeling attack breaks the arbiter but stays at chance against the cipher bit."""
-    arbiter = attacks.ArbiterTarget(puf.arbiter_new(64, int(_sub(seed, "asym-arb").integers(0, 2**63))))
+    arbiter = puf.arbiter_new(64, int(_sub(seed, "asym-arb").integers(0, 2**63)))
     data = attacks.collect_crps(arbiter, arbiter_train, _sub(seed, "asym-arb-train"))
     arb_model = attacks.train_model(data)
     arb_report = attacks.eval_model(arb_model, arbiter, 2000, _sub(seed, "asym-arb-test"))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels, trails
 from .bitstring import BitString
+from .environment import NOMINAL
 from .errors import DataFormatError, GenerationFailureError
 from .jsonio import decoding, read_json, write_json
 from .rng import substream
@@ -70,27 +71,6 @@ class SboxEntropy:
 
 
 # --------------------------------------------------------------------------- S-boxes
-def sbox_audit(table) -> tuple:
-    """Exact (ddt_max, walsh_max) of one 4-bit table; maxima over nonzero masks."""
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.shape != (16,) or sorted(arr.tolist()) != list(range(16)):
-        raise ValueError("S-box table must be a bijection on 0..15")
-    ddt_max = 0
-    for a in range(1, 16):
-        counts = [0] * 16
-        for x in range(16):
-            counts[int(arr[x ^ a]) ^ int(arr[x])] += 1
-        ddt_max = max(ddt_max, max(counts[1:]))
-    walsh_max = 0
-    for a in range(1, 16):
-        for b in range(1, 16):
-            acc = 0
-            for x in range(16):
-                acc += 1 - 2 * ((bin(a & x).count("1") + bin(b & int(arr[x])).count("1")) & 1)
-            walsh_max = max(walsh_max, abs(acc))
-    return ddt_max, walsh_max
-
-
 def sample_sbox_tables(count: int, rng) -> np.ndarray:
     """Uniform random bijections on 0..15, one per row."""
     return np.argsort(rng.random((count, 16)), axis=1).astype(np.uint8)
@@ -166,6 +146,8 @@ class SucDevice:
 
     __slots__ = ("device_id", "params", "_sboxes", "_master_key", "_enc", "_enc_keys", "_dec", "_dec_keys")
 
+    name = "suc"
+
     def __init__(self, device_id: str, params: SucParams, sboxes: np.ndarray, master_key: int):
         sboxes = np.asarray(sboxes, dtype=np.uint8)
         if sboxes.shape != (params.rounds, 16):
@@ -196,6 +178,19 @@ class SucDevice:
         # one keyless table round of P^-1 alone permutes every round key at once
         inv_keys = kernels.spn_batch(keys, inv_place[None], np.zeros(2, dtype=np.uint64))
         self._dec_keys = np.concatenate((np.zeros(1, dtype=np.uint64), inv_keys[:0:-1], keys[:1]))
+
+    # ------------------------------------------------------------- device interface
+    @property
+    def challenge_bits(self) -> int:
+        return self.params.block_bits
+
+    def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
+        """Ciphertext bits of each plaintext row; a digital device has no noise path."""
+        rows = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
+        if rows.shape[1] != self.params.block_bits:
+            raise ValueError(f"challenge rows must be {self.params.block_bits} bits")
+        blocks = np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
+        return np.unpackbits(self.encrypt_blocks(blocks).astype(">u8").view(np.uint8))
 
     # ------------------------------------------------------------- block API
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from clonebench import attacks, fuzzy, puf, suc
 
 
 def _arbiter_target(seed=1, stages=64):
-    return attacks.ArbiterTarget(puf.arbiter_new(stages, seed))
+    return puf.arbiter_new(stages, seed)
 
 
 # ----------------------------------------------------------------- datasets
@@ -97,20 +97,20 @@ def test_eval_model_floor():
 # ----------------------------------------------------------------- asymmetry
 def test_xor_arbiter_attack_scope():
     with pytest.raises(ValueError):
-        attacks.XorArbiterTarget(puf.xor_arbiter_new(32, 5, 20))
+        attacks.collect_crps(puf.xor_arbiter_new(32, 5, 20), 100, substream(20, "d"))
 
 
 def test_xor_arbiter_target_runs_through_pipeline():
     # the linear attacker stays near chance for k >= 2 (XOR of threshold units is
     # not linear in the parity features); the pipeline itself must still run
-    target = attacks.XorArbiterTarget(puf.xor_arbiter_new(32, 2, 21))
+    target = puf.xor_arbiter_new(32, 2, 21)
     data = attacks.collect_crps(target, 8000, substream(22, "d"))
     model = attacks.train_model(data, epochs=200, learning_rate=1.0)
     report = attacks.eval_model(model, target, 2000, substream(23, "t"))
     assert report.target == "xor_arbiter_k2"
     assert 0.45 <= report.accuracy <= 1.0
 
-    single = attacks.XorArbiterTarget(puf.xor_arbiter_new(32, 1, 24))
+    single = puf.xor_arbiter_new(32, 1, 24)
     data = attacks.collect_crps(single, 8000, substream(25, "d"))
     model = attacks.train_model(data, epochs=400, learning_rate=1.0)
     report = attacks.eval_model(model, single, 2000, substream(26, "t"))

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -37,6 +39,7 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["puf", "simulate", "--model", "nonsense"]) == 2
     assert cli.main(["repro", "not-an-experiment"]) == 2
     assert cli.main(["fe", "design", "--ber", "0.9", "--blocks", "8"]) == 2
+    assert cli.main(["attack", "model", "--target", "xor", "--k", "5", "--seed", "1"]) == 2
 
 
 def test_malformed_data_file_exit_code(tmp_path, capsys):
@@ -88,6 +91,21 @@ def test_unsafe_dump_gates_descriptor(capsys):
     doc = json.loads(out)
     assert code == 0
     assert "sboxes" in doc["descriptor"]
+
+
+def test_unsafe_dump_out_file_is_private(tmp_path, capsys):
+    path = tmp_path / "dump.json"
+    old_umask = os.umask(0o022)
+    try:
+        code, _ = run_cli(
+            capsys, "suc", "personalize", "--device-id", "d", "--rounds", "4", "--seed", "51",
+            "--unsafe-dump", "--out", str(path),
+        )
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    assert "master_key_hex" in json.loads(path.read_text())["descriptor"]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_fe_reproduce_fail_exit(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Known answers for every device type: metrics responses, descriptors and
-enrolled CRP records, recorded before the device interface was unified."""
+"""Known answers for every device type: the responses the metrics use, the
+PUF descriptors and enrolled CRP records, all recorded before the device types
+shared one interface (``name``, ``challenge_bits``, ``respond``)."""
 import hashlib
 
 import pytest
 
 from clonebench import BitString, substream
-from clonebench import metrics, protocol, puf, suc
+from clonebench import protocol, puf, suc
 from clonebench.environment import EnvironmentConditions
 from clonebench.jsonio import dumps_canonical
 
@@ -19,7 +20,8 @@ BUILDERS = {
     "suc": lambda: suc.personalize(suc.SucParams(rounds=4), substream(105, "kat"), "kat"),
 }
 
-# model: (name, challenge bits drawn by the metrics path, response bits,
+# model: (name, challenge bits, response bits over 16 challenges (or one
+#         evaluation of a device that takes none),
 #         sha256 of the nominal response, sha256 of the noisy response at HOT)
 RESPONSES = {
     "arbiter": (
@@ -87,9 +89,9 @@ def test_metrics_responses_known_answer(model):
     device = BUILDERS[model]()
     rng = substream(106, "kat-c")
     challenges = [BitString.random(n_bits, rng) for _ in range(16)] if n_bits else None
-    nominal = metrics.nominal_response(device, challenges)
-    noisy = metrics.noisy_response(device, HOT, substream(107, "kat-n"), challenges)
-    assert metrics._model_name(device) == name
+    nominal = device.respond(challenges)
+    noisy = device.respond(challenges, HOT, substream(107, "kat-n"))
+    assert (device.name, device.challenge_bits) == (name, n_bits)
     assert nominal.size == noisy.size == size
     assert (_sha(nominal), _sha(noisy)) == (nominal_sha, noisy_sha)
 
@@ -97,7 +99,7 @@ def test_metrics_responses_known_answer(model):
 @pytest.mark.parametrize("model", sorted(DESCRIPTORS))
 def test_descriptor_known_answer(model):
     device = BUILDERS[model]()
-    assert dumps_canonical(puf.device_descriptor(device)) == DESCRIPTORS[model]
+    assert dumps_canonical(device.descriptor()) == DESCRIPTORS[model]
 
 
 @pytest.mark.parametrize("model", sorted(ENROLLED))

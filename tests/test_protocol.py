@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 
 import numpy as np
@@ -42,6 +43,18 @@ def test_enroll_refuses_exhausted_challenge_space():
         protocol.enroll(device, 300, substream(1, "x"), protocol.CrpStore(), device_id="s1")
 
 
+def test_enroll_device_without_challenge_under_power_up_index():
+    from clonebench import puf
+
+    device = puf.ro_new(32, 4)
+    store = protocol.CrpStore()
+    assert protocol.enroll(device, 5, substream(2, "x"), store, device_id="ro-1") == 5
+    records = store.records["ro-1"]
+    assert {len(r.challenge) for r in records} == {protocol.POWER_UP_INDEX_BITS}
+    assert len({r.challenge for r in records}) == 5
+    assert all(r.response == puf.ro_response(device) for r in records)
+
+
 def test_reenroll_after_depletion_restores_capacity():
     device = _device()
     store = _enrolled(device, 3)
@@ -73,6 +86,23 @@ def test_store_flat_schema_fields(tmp_path):
     assert doc["device_id"] == "ecu-1"
     assert doc["mode"] == "forward"
     assert {"c_hex", "r_hex", "used"} <= set(doc["records"][0])
+
+
+def test_failed_store_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    store = _enrolled(_device(), 4)
+    path = tmp_path / "store.json"
+    protocol.save_store(store, path)
+    before = path.read_bytes()
+    store.consume_next("ecu-1")
+
+    def crash(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError):
+        protocol.save_store(store, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["store.json"]
 
 
 def test_store_rejects_unknown_schema(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import BitString, substream
 from clonebench.environment import NOMINAL, EnvironmentConditions
@@ -84,7 +86,7 @@ def test_xor_k1_is_plain_arbiter():
     member = puf.arbiter_new(16, 7)
     challenges = substream(3, "x").integers(0, 2, (500, 16), dtype=np.uint8)
     assert np.array_equal(
-        puf.xor_arbiter_eval_batch((member,), challenges),
+        puf.XorArbiter((member,)).respond(challenges),
         puf.arbiter_eval_batch(member, challenges),
     )
 
@@ -92,18 +94,18 @@ def test_xor_k1_is_plain_arbiter():
 def test_xor_same_puf_twice_is_zero():
     member = puf.arbiter_new(16, 7)
     challenges = substream(4, "x").integers(0, 2, (500, 16), dtype=np.uint8)
-    assert not np.any(puf.xor_arbiter_eval_batch((member, member), challenges))
+    assert not np.any(puf.XorArbiter((member, member)).respond(challenges))
 
 
 def test_xor_empty_list_rejected():
     with pytest.raises(ValueError):
-        puf.xor_arbiter_eval_batch((), np.zeros((1, 16), np.uint8))
+        puf.XorArbiter(())
 
 
 def test_xor_k4_uniformity():
     devices = puf.xor_arbiter_new(64, 4, 11)
     challenges = substream(5, "x").integers(0, 2, (20_000, 64), dtype=np.uint8)
-    mean = puf.xor_arbiter_eval_batch(devices, challenges).mean()
+    mean = devices.respond(challenges).mean()
     assert 0.45 <= mean <= 0.55
 
 
@@ -191,9 +193,7 @@ def test_environment_ranges_enforced():
 
 # ----------------------------------------------------------------- population
 def _response_matrix(devices, challenges=None):
-    from clonebench.metrics import nominal_response
-
-    return np.stack([nominal_response(d, challenges) for d in devices])
+    return np.stack([d.respond(challenges) for d in devices])
 
 
 @pytest.mark.parametrize("model", ["arbiter", "xor", "ro", "sram"])
@@ -219,21 +219,35 @@ def test_uniqueness_every_model(model):
     assert 0.45 <= mean <= 0.55
 
 
-def test_descriptor_roundtrip(tmp_path):
-    for device in (
-        puf.arbiter_new(32, 5, 0.1),
-        puf.ro_new(64, 6, 0.2),
-        puf.sram_new(128, 7),
-        puf.xor_arbiter_new(32, 3, 8),
-    ):
-        path = tmp_path / "dev.json"
-        puf.save_puf(device, path)
-        loaded = puf.load_puf(path)
-        if isinstance(device, tuple):
-            assert all(np.array_equal(a.weights, b.weights) for a, b in zip(device, loaded))
-        elif isinstance(device, puf.ArbiterPuf):
-            assert np.array_equal(device.weights, loaded.weights)
-        elif isinstance(device, puf.RoPuf):
-            assert np.array_equal(device.frequencies, loaded.frequencies)
-        else:
-            assert np.array_equal(device.cell_bias, loaded.cell_bias)
+BUILD = {
+    "arbiter": lambda size, k, seed, sigma: puf.arbiter_new(size, seed, sigma),
+    "xor": lambda size, k, seed, sigma: puf.xor_arbiter_new(size, k, seed, sigma),
+    "ro": lambda size, k, seed, sigma: puf.ro_new(size, seed, sigma),
+    "sram": lambda size, k, seed, sigma: puf.sram_new(size, seed),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(sorted(BUILD)),
+    size=st.integers(2, 96),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**63 - 1),
+    sigma=st.sampled_from([0.0, 0.2, 1.0]),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_descriptor_roundtrip(tmp_path_factory, model, size, k, seed, sigma, draw_seed):
+    device = BUILD[model](size, k, seed, sigma)
+    path = tmp_path_factory.mktemp("puf") / "dev.json"
+    puf.save_puf(device, path)
+    for loaded in (puf.device_from_descriptor(device.descriptor()), puf.load_puf(path)):
+        assert loaded.name == device.name
+        assert loaded.challenge_bits == device.challenge_bits
+        bits = device.challenge_bits
+        challenges = substream(draw_seed, "c").integers(0, 2, (32, bits), np.uint8) if bits else None
+        env = EnvironmentConditions(temperature_c=70.0)
+        assert np.array_equal(loaded.respond(challenges), device.respond(challenges))
+        assert np.array_equal(
+            loaded.respond(challenges, env, substream(draw_seed, "n")),
+            device.respond(challenges, env, substream(draw_seed, "n")),
+        )
