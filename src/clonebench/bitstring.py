@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_HEX_DIGITS = "0123456789abcdef"
+_HEX_SET = frozenset("0123456789abcdef")
 
 
 class BitString:
@@ -17,7 +17,7 @@ class BitString:
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("BitString needs at least one bit")
-        if np.any(arr > 1):
+        if arr.max() > 1:
             raise ValueError("bits must be 0 or 1")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -36,25 +36,28 @@ class BitString:
     def from_int(cls, value: int, n_bits: int) -> "BitString":
         if value < 0 or value >> n_bits:
             raise ValueError(f"value does not fit in {n_bits} bits")
-        return cls([(value >> (n_bits - 1 - i)) & 1 for i in range(n_bits)])
+        return cls._unpack(int(value), n_bits)
 
     @classmethod
     def from_hex(cls, text: str, n_bits: int | None = None) -> "BitString":
         text = text.strip().lower()
-        if not text or any(ch not in _HEX_DIGITS for ch in text):
+        if not text or not _HEX_SET.issuperset(text):
             raise ValueError(f"not a hex string: {text!r}")
         if n_bits is None:
             n_bits = 4 * len(text)
         if n_bits > 4 * len(text) or n_bits <= 4 * (len(text) - 1):
             raise ValueError(f"{n_bits} bits does not match {len(text)} hex digits")
-        bits = np.zeros(4 * len(text), dtype=np.uint8)
-        for d, ch in enumerate(text):
-            v = _HEX_DIGITS.index(ch)
-            for b in range(4):
-                bits[4 * d + b] = (v >> (3 - b)) & 1
-        if np.any(bits[n_bits:]):
+        pad = 4 * len(text) - n_bits
+        value = int(text, 16)
+        if value & ((1 << pad) - 1):
             raise ValueError("padding bits past the declared length must be zero")
-        return cls(bits[:n_bits])
+        return cls._unpack(value >> pad, n_bits)
+
+    @classmethod
+    def _unpack(cls, value: int, n_bits: int) -> "BitString":
+        """The n_bits low bits of a non-negative int, MSB first."""
+        raw = (value << (-n_bits % 8)).to_bytes(-(-n_bits // 8), "big")
+        return cls(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_bits))
 
     # ------------------------------------------------------------- views
     @property
@@ -80,10 +83,7 @@ class BitString:
     def to_hex(self) -> str:
         """Lowercase hex, MSB first; a final partial nibble is zero-padded on the right."""
         n = self._bits.size
-        padded = np.zeros(-(-n // 4) * 4, dtype=np.uint8)
-        padded[:n] = self._bits
-        digits = padded.reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
-        return "".join(_HEX_DIGITS[d] for d in digits)
+        return f"{self.to_int() << (-n % 4):0{-(-n // 4)}x}"
 
     def to_int(self) -> int:
         n = self._bits.size

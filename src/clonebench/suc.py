@@ -144,7 +144,10 @@ class SucDevice:
     """A personalized cipher instance; the descriptor never leaves this object
     except through :func:`save_device` on an explicitly provided path."""
 
-    __slots__ = ("device_id", "params", "_sboxes", "_master_key", "_enc", "_enc_keys", "_dec", "_dec_keys")
+    __slots__ = (
+        "device_id", "params", "_sboxes", "_master_key",
+        "_enc", "_enc_keys", "_dec", "_dec_keys", "_enc_block", "_dec_block",
+    )
 
     name = "suc"
 
@@ -163,7 +166,8 @@ class SucDevice:
         inv_place = _perm_place_tables(np.argsort(perm))
         inv_sboxes = np.argsort(sboxes, axis=1)
         keys = round_keys(self._master_key, params.rounds, params.key_bits)
-        self._enc = np.stack([place[:, sbox] for sbox in sboxes])
+        # C order, so that each round's 256 entries are one run of memory for spn_block_rounds
+        self._enc = np.ascontiguousarray(np.stack([place[:, sbox] for sbox in sboxes]))
         self._enc_keys = keys
         # Equivalent inverse cipher (Daemen & Rijmen, The Design of Rijndael, 2002):
         # P^-1 is linear, so P^-1(x ^ k) = P^-1(x) ^ P^-1(k) and each P^-1 moves
@@ -178,6 +182,9 @@ class SucDevice:
         # one keyless table round of P^-1 alone permutes every round key at once
         inv_keys = kernels.spn_batch(keys, inv_place[None], np.zeros(2, dtype=np.uint64))
         self._dec_keys = np.concatenate((np.zeros(1, dtype=np.uint64), inv_keys[:0:-1], keys[:1]))
+        # the same two table sets, wrapped for the single-block evaluator
+        self._enc_block = kernels.spn_block_rounds(self._enc, self._enc_keys)
+        self._dec_block = kernels.spn_block_rounds(self._dec, self._dec_keys)
 
     # ------------------------------------------------------------- device interface
     @property
@@ -204,14 +211,12 @@ class SucDevice:
     def encrypt(self, x: BitString) -> BitString:
         if len(x) != self.params.block_bits:
             raise ValueError(f"block must be {self.params.block_bits} bits")
-        out = self.encrypt_blocks(np.array([x.to_int()], dtype=np.uint64))
-        return BitString.from_int(int(out[0]), self.params.block_bits)
+        return BitString.from_int(kernels.spn_block(x.to_int(), *self._enc_block), self.params.block_bits)
 
     def decrypt(self, y: BitString) -> BitString:
         if len(y) != self.params.block_bits:
             raise ValueError(f"block must be {self.params.block_bits} bits")
-        out = self.decrypt_blocks(np.array([y.to_int()], dtype=np.uint64))
-        return BitString.from_int(int(out[0]), self.params.block_bits)
+        return BitString.from_int(kernels.spn_block(y.to_int(), *self._dec_block), self.params.block_bits)
 
     def __repr__(self):
         return f"SucDevice(device_id={self.device_id!r}, rounds={self.params.rounds})"

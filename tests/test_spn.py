@@ -1,8 +1,9 @@
 """The SUC cipher pinned from outside the library.
 
 Known-answer vectors freeze the ciphertexts of pinned devices; a pure-Python
-oracle written from the cipher's specification checks both directions; and a
-property test checks that decrypt and encrypt are two-sided inverses.
+oracle written from the cipher's specification checks both directions, batched
+and single-block; and property tests check that decrypt and encrypt are
+two-sided inverses and that the single-block path equals the batch rows.
 """
 from functools import lru_cache
 
@@ -103,8 +104,14 @@ def test_known_answer_vectors():
         device = _kat_device(seed, rounds)
         assert [f"{int(v):016x}" for v in device.encrypt_blocks(blocks)] == list(cipher_hex)
         assert [f"{int(v):016x}" for v in device.decrypt_blocks(blocks)] == list(plain_hex)
-        assert device.encrypt(BitString.from_int(KAT_BLOCKS[2], 64)).to_hex() == cipher_hex[2]
-        assert device.decrypt(BitString.from_int(KAT_BLOCKS[2], 64)).to_hex() == plain_hex[2]
+
+
+def test_known_answer_vectors_single_block():
+    for (seed, rounds), (cipher_hex, plain_hex) in KNOWN_ANSWERS.items():
+        device = _kat_device(seed, rounds)
+        for x, c, p in zip(KAT_BLOCKS, cipher_hex, plain_hex):
+            assert device.encrypt(BitString.from_int(x, 64)).to_hex() == c
+            assert device.decrypt(BitString.from_int(x, 64)).to_hex() == p
 
 
 def test_known_answer_vectors_match_oracle():
@@ -126,11 +133,14 @@ def test_blocks_match_oracle():
             assert z == _oracle_decrypt(device, x)
 
 
-# ----------------------------------------------------------------- inverse property
+# ----------------------------------------------------------------- properties
+_ROUNDS = st.one_of(st.integers(min_value=1, max_value=8), st.just(40))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     value=st.integers(min_value=0, max_value=MASK64),
-    rounds=st.integers(min_value=1, max_value=8),
+    rounds=_ROUNDS,
     seed=st.integers(min_value=0, max_value=3),
 )
 def test_decrypt_and_encrypt_are_two_sided_inverses(value, rounds, seed):
@@ -138,3 +148,23 @@ def test_decrypt_and_encrypt_are_two_sided_inverses(value, rounds, seed):
     block = np.array([value], dtype=np.uint64)
     assert int(device.decrypt_blocks(device.encrypt_blocks(block))[0]) == value
     assert int(device.encrypt_blocks(device.decrypt_blocks(block))[0]) == value
+    x = BitString.from_int(value, 64)
+    assert device.decrypt(device.encrypt(x)) == x
+    assert device.encrypt(device.decrypt(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=8),
+    rounds=_ROUNDS,
+    seed=st.integers(min_value=0, max_value=3),
+)
+def test_single_block_matches_batch_rows_and_oracle(values, rounds, seed):
+    device = _prop_device(seed, rounds)
+    blocks = np.array(values, dtype=np.uint64)
+    enc = device.encrypt_blocks(blocks).tolist()
+    dec = device.decrypt_blocks(blocks).tolist()
+    for i, value in enumerate(values):
+        x = BitString.from_int(value, 64)
+        assert device.encrypt(x).to_int() == enc[i] == _oracle_encrypt(device, value)
+        assert device.decrypt(x).to_int() == dec[i] == _oracle_decrypt(device, value)
