@@ -2,7 +2,7 @@
 import numpy as np
 
 from clonebench import kernels, substream
-from test_suc import _audit_oracle
+from test_suc import _oracle_maxima
 
 
 def test_backend_flag():
@@ -14,7 +14,7 @@ def test_audit_batch_matches_scalar_reference():
     tables = np.argsort(rng.random((32, 16)), axis=1).astype(np.uint8)
     d, w = kernels.sbox_audit_batch(tables)
     for i in range(tables.shape[0]):
-        assert _audit_oracle(tables[i].tolist()) == (int(d[i]), int(w[i]))
+        assert _oracle_maxima(tables[i].tolist()) == (int(d[i]), int(w[i]))
 
 
 def test_identity_sbox_saturates_audit():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clonebench import BitString, substream
-from clonebench import kernels, suc
+from clonebench import kernels, suc, trails
 from clonebench.errors import DataFormatError
 
 # a published-class optimal 4-bit S-box: differential uniformity 4, linearity 8
@@ -19,20 +19,29 @@ def _device(rounds=8, seed=100, device_id="dev"):
 
 # ----------------------------------------------------------------- s-box audit
 def _audit_oracle(table):
-    # independent exhaustive 16x16 table computation
+    """Full DDT and Walsh tables of one S-box, counted directly over all inputs."""
     ddt = [[0] * 16 for _ in range(16)]
     for a in range(16):
         for x in range(16):
             ddt[a][table[x ^ a] ^ table[x]] += 1
-    ddt_max = max(ddt[a][b] for a in range(1, 16) for b in range(1, 16))
-    walsh_max = 0
-    for a in range(1, 16):
-        for b in range(1, 16):
-            total = 0
+    walsh = [[0] * 16 for _ in range(16)]
+    for a in range(16):
+        for b in range(16):
             for x in range(16):
-                total += (-1) ** (bin(a & x).count("1") + bin(b & table[x]).count("1"))
-            walsh_max = max(walsh_max, abs(total))
-    return ddt_max, walsh_max
+                walsh[a][b] += (-1) ** (bin(a & x).count("1") + bin(b & table[x]).count("1"))
+    return ddt, walsh
+
+
+def _oracle_maxima(table):
+    ddt, walsh = _audit_oracle(table)
+    nonzero = [(a, b) for a in range(1, 16) for b in range(1, 16)]
+    return max(ddt[a][b] for a, b in nonzero), max(abs(walsh[a][b]) for a, b in nonzero)
+
+
+def _spectra_tables():
+    """The identity, OPTIMAL_SBOX and 32 random bijections."""
+    rng = substream(30, "spectra")
+    return [list(range(16)), OPTIMAL_SBOX] + [rng.permutation(16).tolist() for _ in range(32)]
 
 
 def _audit(tables):
@@ -45,23 +54,30 @@ def test_audit_identity_sbox():
 
 
 def test_audit_optimal_sbox_against_oracle():
-    assert _audit_oracle(OPTIMAL_SBOX) == (4, 8)
+    assert _oracle_maxima(OPTIMAL_SBOX) == (4, 8)
     assert _audit([OPTIMAL_SBOX]) == [(4, 8)]
 
 
 def test_audit_random_tables_against_oracle():
     rng = substream(1, "audit")
     tables = [list(rng.permutation(16)) for _ in range(10)]
-    assert _audit(tables) == [_audit_oracle(t) for t in tables]
+    assert _audit(tables) == [_oracle_maxima(t) for t in tables]
 
 
 def test_ddt_rows_sum_to_16():
-    table = OPTIMAL_SBOX
+    ddt, walsh = _audit_oracle(OPTIMAL_SBOX)
     for a in range(16):
-        row = [0] * 16
-        for x in range(16):
-            row[table[x ^ a] ^ table[x]] += 1
-        assert sum(row) == 16
+        assert sum(ddt[a]) == 16
+        assert sum(w * w for w in walsh[a]) == 256  # Parseval
+
+
+def test_full_spectra_against_oracle():
+    tables = _spectra_tables()
+    assert _audit(tables) == [_oracle_maxima(t) for t in tables]
+    for table in tables:
+        ddt, _ = _audit_oracle(table)
+        compat = trails.ddt_compatible_outputs(np.array(table, dtype=np.uint8))
+        assert compat[1:] == [[b for b in range(1, 16) if ddt[a][b]] for a in range(1, 16)]
 
 
 # ----------------------------------------------------------------- personalization

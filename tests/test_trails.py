@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,99 @@ def test_nibble_reach_default_perm():
         # four distinct destination nibbles -> all 15 nonempty subsets
         assert len(masks) == 15
         assert all(0 < m < (1 << 16) for m in masks)
+
+
+def _permutations():
+    """The default permutation, its inverse, the identity and a random one."""
+    perm = np.array(suc.DEFAULT_PERMUTATION)
+    return [perm, np.argsort(perm), np.arange(64), substream(34, "perm").permutation(64)]
+
+
+def _place_oracle(dest):
+    """table[j][v]: the set bits b of 4-bit value v at nibble j moved to dest[4j+b], bit by bit."""
+    out = np.zeros((len(dest) // 4, 16), dtype=np.uint64)
+    for j in range(len(dest) // 4):
+        for v in range(16):
+            acc = 0
+            for b in range(4):
+                if (v >> b) & 1:
+                    acc |= 1 << int(dest[4 * j + b])
+            out[j, v] = acc
+    return out
+
+
+def _reach_oracle(perm):
+    reach = []
+    for j in range(len(perm) // 4):
+        dest_nibble = [int(perm[4 * j + b]) // 4 for b in range(4)]
+        masks = set()
+        for value in range(1, 16):
+            mask = 0
+            for b in range(4):
+                if (value >> b) & 1:
+                    mask |= 1 << dest_nibble[b]
+            masks.add(mask)
+        reach.append(sorted(masks))
+    return reach
+
+
+def test_place_tables_and_reach_match_oracles():
+    for perm in _permutations():
+        assert np.array_equal(suc._perm_place_tables(perm), _place_oracle(perm))
+        assert trails.nibble_reach(perm) == _reach_oracle(perm)
+
+
+def _trail_sboxes():
+    return suc.sample_sbox_tables(40, substream(31, "trail-sboxes"))
+
+
+@pytest.mark.parametrize(
+    "rounds, n_trails, seed, digest",
+    [
+        (10, 200, 32, "d4664e200696ed9fb8a065a69e53e1493f30b5ddcbf0f762c9cacb70c25dd50d"),
+        (40, 100, 33, "848d45797ef5c476ad73269340114657b600dd4bcc0f0e777d62ac6a03aa7273"),
+    ],
+)
+def test_sampled_trail_totals_pinned(rounds, n_trails, seed, digest):
+    totals = trails.sample_trail_actives(
+        _trail_sboxes(), suc.DEFAULT_PERMUTATION, rounds, n_trails, substream(seed, "trail-sample")
+    )
+    assert hashlib.sha256(totals.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def _sample_oracle(sboxes, perm, rounds, n_trails, rng):
+    """The trail sampler with a per-table Python DDT and a bit-by-bit output scatter."""
+    compat = []
+    for sbox in sboxes[:rounds].tolist():
+        compat.append([sorted({sbox[x ^ a] ^ sbox[x] for x in range(16)} - {0}) for a in range(16)])
+    totals = []
+    for _ in range(n_trails):
+        delta = 0
+        while delta == 0:
+            delta = int.from_bytes(rng.bytes(len(perm) // 8), "big")
+        total = 0
+        for r in range(rounds):
+            out_delta = 0
+            for j in range(len(perm) // 4):
+                a = (delta >> (4 * j)) & 0xF
+                if a:
+                    total += 1
+                    choices = compat[r][a]
+                    b = choices[rng.integers(0, len(choices))]
+                    for bit in range(4):
+                        if (b >> bit) & 1:
+                            out_delta |= 1 << int(perm[4 * j + bit])
+            delta = out_delta
+        totals.append(total)
+    return totals
+
+
+@pytest.mark.parametrize("rounds, n_trails", [(1, 30), (10, 40), (40, 10)])
+def test_sampled_trail_totals_match_oracle(rounds, n_trails):
+    sboxes = _trail_sboxes()
+    for perm in _permutations()[::3]:  # the default and a random permutation
+        totals = trails.sample_trail_actives(sboxes, perm, rounds, n_trails, substream(35, "oracle"))
+        assert totals.tolist() == _sample_oracle(sboxes, perm, rounds, n_trails, substream(35, "oracle"))
 
 
 def test_ddt_compatible_outputs_nonempty():
