@@ -18,9 +18,6 @@ from .environment import NOMINAL, EnvironmentConditions
 from .jsonio import decoding, read_json, write_json
 from .rng import substream
 
-FREQ_LO_HZ = 30_000.0
-FREQ_HI_HZ = 50_000.0
-
 #: |H| is Rayleigh(1) under the unit-normal re/im draw, so the population
 #: median magnitude is sqrt(2 ln 2); used as the default public threshold
 RAYLEIGH_MEDIAN = math.sqrt(2.0 * math.log(2.0))
@@ -113,12 +110,15 @@ def structure_new(
     return StructureModel(response, float(temp_coeff), float(meas_noise_sigma), float(smoothing), int(seed))
 
 
-def bin_frequencies_hz(n_bins: int) -> np.ndarray:
-    return np.linspace(FREQ_LO_HZ, FREQ_HI_HZ, n_bins)
-
-
-def _gain(model: StructureModel, env: EnvironmentConditions) -> float:
-    return 1.0 + model.temp_coeff * (env.temperature_c - 25.0)
+def _measure(model: StructureModel, response: np.ndarray, env: EnvironmentConditions, rng) -> np.ndarray:
+    """Read ``response`` (bins of ``model``) at the gain of env; rng=None reads noiselessly."""
+    y = response * (1.0 + model.temp_coeff * (env.temperature_c - 25.0))
+    if rng is not None and model.meas_noise_sigma > 0:
+        # the real part is drawn before the imaginary part; seeded reads depend on that order
+        y = y + model.meas_noise_sigma * (
+            rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
+        )
+    return y
 
 
 def wave_train_bins(train: WaveTrain, n_bins: int) -> np.ndarray:
@@ -130,13 +130,7 @@ def wave_train_bins(train: WaveTrain, n_bins: int) -> np.ndarray:
 
 def stimulate(model: StructureModel, train: WaveTrain, env=NOMINAL, rng=None) -> np.ndarray:
     """Complex response at each wave-train slot; rng=None reads noiselessly."""
-    bins = wave_train_bins(train, model.n_bins)
-    y = model.freq_response[bins] * _gain(model, env)
-    if rng is not None and model.meas_noise_sigma > 0:
-        y = y + model.meas_noise_sigma * (
-            rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
-        )
-    return y
+    return _measure(model, model.freq_response[wave_train_bins(train, model.n_bins)], env, rng)
 
 
 def default_thresholds(n_bins: int) -> np.ndarray:
@@ -156,11 +150,7 @@ def fingerprint(model: StructureModel, env=NOMINAL, rng=None, thresholds=None) -
     thresholds = default_thresholds(model.n_bins) if thresholds is None else np.asarray(thresholds)
     if thresholds.size != model.n_bins:
         raise ValueError("threshold vector length != n_bins")
-    measured = model.freq_response * _gain(model, env)
-    if rng is not None and model.meas_noise_sigma > 0:
-        measured = measured + model.meas_noise_sigma * (
-            rng.standard_normal(model.n_bins) + 1j * rng.standard_normal(model.n_bins)
-        )
+    measured = _measure(model, model.freq_response, env, rng)
     bits = BitString((np.abs(measured) > thresholds).astype(np.uint8))
     return Fingerprint(bits, thresholds, device_id=f"structure-{model.seed}")
 

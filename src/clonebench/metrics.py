@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import dof_estimate, pairwise_distance_stats
+from .acoustic import dof_estimate
 from .jsonio import SCHEMA_VERSION
 
 
@@ -79,13 +79,12 @@ def uniqueness(population, challenges=None) -> PopulationReport:
     if challenges is not None and len(challenges) < 1:
         raise ValueError("need at least 1 challenge")
     vectors = np.stack([dev.respond(challenges) for dev in population])
-    mean, var = pairwise_distance_stats(vectors)
     estimate = dof_estimate(vectors)
     return PopulationReport(
         model=population[0].name,
         n_devices=len(population),
-        uniqueness_mean=mean,
-        uniqueness_std=float(np.sqrt(var)),
+        uniqueness_mean=estimate.mean_hd,
+        uniqueness_std=float(np.sqrt(estimate.hd_variance)),
         uniformity=float(vectors.mean()),
         dof_bits=estimate.dof_bits,
     )

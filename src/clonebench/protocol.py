@@ -16,7 +16,7 @@ from .acoustic import Fingerprint
 from .bitstring import BitString
 from .errors import DataFormatError
 from .fuzzy import HelperData, fe_reproduce_detail
-from .jsonio import decoding, read_json, write_json
+from .jsonio import decoding, dumps_canonical, read_json, write_json
 from .suc import SucDevice, descriptor_secret_strings
 
 FORWARD = "forward"
@@ -290,21 +290,18 @@ def _entry_records(entry: dict) -> list:
     return out
 
 
-def save_store(store: CrpStore, path) -> None:
+def _store_doc(store: CrpStore) -> dict:
     """Single-device stores use the flat layout; multi-device stores nest per device."""
     ids = sorted(store.records)
     if len(ids) == 1:
         doc = _device_entry(ids[0], store.records[ids[0]])
         doc["mode"] = store.mode
-        write_json(path, doc)
-        return
-    write_json(
-        path,
-        {
-            "mode": store.mode,
-            "devices": [_device_entry(d, store.records[d]) for d in ids],
-        },
-    )
+        return doc
+    return {"mode": store.mode, "devices": [_device_entry(d, store.records[d]) for d in ids]}
+
+
+def save_store(store: CrpStore, path) -> None:
+    write_json(path, _store_doc(store))
 
 
 def load_store(path) -> CrpStore:
@@ -324,12 +321,5 @@ def load_store(path) -> CrpStore:
 
 def store_leak_audit(store: CrpStore, device: SucDevice) -> bool:
     """True when no descriptor material appears anywhere in the serialized store."""
-    ids = sorted(store.records)
-    blob_parts = [store.mode]
-    for d in ids:
-        blob_parts.append(d)
-        for row in _device_entry(d, store.records[d])["records"]:
-            blob_parts.append(row["c_hex"])
-            blob_parts.append(row["r_hex"])
-    blob = "\x00".join(blob_parts)
+    blob = dumps_canonical(_store_doc(store))
     return not any(secret in blob for secret in descriptor_secret_strings(device))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bitstring import BitString
 from .environment import NOMINAL, EnvironmentConditions
-from .jsonio import read_json, write_json
+from .jsonio import decoding, read_json, write_json
 from .rng import substream
 
 #: columns of ``stage_delays``: straight top, straight bottom,
@@ -247,15 +247,6 @@ def ro_eval(puf: RoPuf, pair, rng=None) -> int:
     return int(fi > fj)
 
 
-def ro_flip_probability(puf: RoPuf, pair) -> float:
-    """Closed-form chance that noise inverts the comparison for this pair."""
-    i, j = pair
-    if puf.meas_sigma == 0:
-        return 0.0
-    delta = abs(puf.frequencies[i] - puf.frequencies[j])
-    return 0.5 * math.erfc(delta / (2.0 * puf.meas_sigma))
-
-
 def ro_default_pairs(puf: RoPuf):
     return [(2 * i, 2 * i + 1) for i in range(puf.m_oscillators // 2)]
 
@@ -313,7 +304,7 @@ def sram_new(n_cells: int, seed: int, ber_anchors=DEFAULT_BER_ANCHORS) -> SramPu
 def sram_noise_sigma(puf: SramPuf, env: EnvironmentConditions = NOMINAL) -> float:
     """Sigma(T): piecewise-linear through the calibrated anchors; flat in voltage."""
     temps = np.array([t for t, _ in puf.ber_anchors])
-    sigmas = np.array([math.tan(math.pi * b) if b > 0 else 0.0 for _, b in puf.ber_anchors])
+    sigmas = np.array([calibrate_sram_noise(b) if b > 0 else 0.0 for _, b in puf.ber_anchors])
     return float(np.interp(env.temperature_c, temps, sigmas))
 
 
@@ -356,4 +347,6 @@ def save_puf(dev, path) -> None:
 
 
 def load_puf(path):
-    return device_from_descriptor(read_json(path))
+    doc = read_json(path)
+    with decoding(path):
+        return device_from_descriptor(doc)

@@ -127,19 +127,6 @@ def round_keys(master_key: int, rounds: int, key_bits: int = 80) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- device
-def _perm_place_tables(perm: np.ndarray) -> np.ndarray:
-    """tables[j][v]: 4-bit value v at source nibble j scattered to its destinations."""
-    out = np.zeros((16, 16), dtype=np.uint64)
-    for j in range(16):
-        for v in range(16):
-            acc = 0
-            for b in range(4):
-                if (v >> b) & 1:
-                    acc |= 1 << int(perm[4 * j + b])
-            out[j, v] = acc
-    return out
-
-
 class SucDevice:
     """A personalized cipher instance; the descriptor never leaves this object
     except through :func:`save_device` on an explicitly provided path."""
@@ -162,8 +149,8 @@ class SucDevice:
         self._sboxes = sboxes
         self._master_key = int(master_key)
         perm = np.asarray(params.permutation, dtype=np.int64)
-        place = _perm_place_tables(perm)
-        inv_place = _perm_place_tables(np.argsort(perm))
+        place = trails.scatter_table(perm)
+        inv_place = trails.scatter_table(np.argsort(perm))
         inv_sboxes = np.argsort(sboxes, axis=1)
         keys = round_keys(self._master_key, params.rounds, params.key_bits)
         # C order, so that each round's 256 entries are one run of memory for spn_block_rounds
@@ -177,7 +164,7 @@ class SucDevice:
         self._dec = np.stack(
             [inv_place]
             + [inv_place[:, inv] for inv in inv_sboxes[:0:-1]]
-            + [_perm_place_tables(np.arange(64))[:, inv_sboxes[0]]]
+            + [trails.scatter_table(np.arange(64))[:, inv_sboxes[0]]]
         )
         # one keyless table round of P^-1 alone permutes every round key at once
         inv_keys = kernels.spn_batch(keys, inv_place[None], np.zeros(2, dtype=np.uint64))

@@ -15,6 +15,8 @@ import heapq
 
 import numpy as np
 
+from . import kernels
+
 _EXPANSION_CAP = 1 << 22
 
 
@@ -27,22 +29,18 @@ def validate_permutation(perm) -> np.ndarray:
     return arr
 
 
+def scatter_table(dest) -> np.ndarray:
+    """(len(dest) // 4, 16) uint64: entry [j][v] holds the set bits b of v moved to dest[4j+b]."""
+    dest = np.asarray(dest, dtype=np.uint64).reshape(-1, 4)
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1  # bits[v, b]
+    moved = np.where(bits[None, :, :], np.uint64(1) << dest[:, None, :], np.uint64(0))
+    return np.bitwise_or.reduce(moved, axis=2)
+
+
 def nibble_reach(perm) -> list:
     """For each source nibble, the distinct activity masks of its 15 nonzero outputs."""
     arr = validate_permutation(perm)
-    n_nibbles = arr.size // 4
-    reach = []
-    for j in range(n_nibbles):
-        dest_nibble = [int(arr[4 * j + b]) // 4 for b in range(4)]
-        masks = set()
-        for value in range(1, 16):
-            mask = 0
-            for b in range(4):
-                if (value >> b) & 1:
-                    mask |= 1 << dest_nibble[b]
-            masks.add(mask)
-        reach.append(sorted(masks))
-    return reach
+    return [sorted(set(row[1:])) for row in scatter_table(arr // 4).tolist()]
 
 
 def _successors(state: int, reach) -> set:
@@ -88,24 +86,19 @@ def min_active_sboxes(perm, rounds: int) -> int:
     raise RuntimeError("trail search exhausted without reaching the final round")
 
 
-def ddt_compatible_outputs(sbox: np.ndarray) -> list:
-    """compat[a] = nonzero output differences b with DDT[a][b] > 0, for a in 1..15."""
-    compat = [[] for _ in range(16)]
-    for a in range(1, 16):
-        seen = set()
-        for x in range(16):
-            seen.add(int(sbox[x ^ a]) ^ int(sbox[x]))
-        compat[a] = sorted(b for b in seen if b)
-    return compat
-
-
 def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, rng) -> np.ndarray:
-    """Active-box totals of random concrete differential trails through real S-boxes."""
+    """Active-box totals of random concrete differential trails through real S-boxes.
+
+    Round r draws each active nibble's output difference uniformly from the
+    nonzero b with DDT[a][b] > 0 of S-box r, listed in ascending order.
+    """
     arr = validate_permutation(perm)
     sboxes = np.asarray(sboxes, dtype=np.uint8)
     if sboxes.shape[0] < rounds:
         raise ValueError("need one S-box table per round")
-    compat = [ddt_compatible_outputs(sboxes[r]) for r in range(rounds)]
+    ddt, _ = kernels.sbox_spectra(sboxes[:rounds])
+    compat = [[(np.flatnonzero(row[1:]) + 1).tolist() for row in table] for table in ddt]
+    place = scatter_table(arr).tolist()
     n_bits = arr.size
     n_nibbles = n_bits // 4
     totals = np.zeros(n_trails, dtype=np.int64)
@@ -122,10 +115,7 @@ def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, r
                     continue
                 total += 1
                 choices = compat[r][a]
-                b = int(choices[rng.integers(0, len(choices))])
-                for bit in range(4):
-                    if (b >> bit) & 1:
-                        out_delta |= 1 << int(arr[4 * j + bit])
+                out_delta |= place[j][choices[rng.integers(0, len(choices))]]
             delta = out_delta
         totals[t] = total
     return totals

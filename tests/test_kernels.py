@@ -22,3 +22,11 @@ def test_identity_sbox_saturates_audit():
     d, w = kernels.sbox_audit_batch(tables)
     assert int(d[0]) == 16
     assert int(w[0]) == 16
+
+
+def test_audit_chunks_agree_with_one_spectra_call():
+    tables = np.argsort(substream(15, "audit-chunks").random((2500, 16)), axis=1).astype(np.uint8)
+    ddt, walsh = kernels.sbox_spectra(tables)
+    d, w = kernels.sbox_audit_batch(tables)
+    assert np.array_equal(d, ddt[:, 1:, 1:].max(axis=(1, 2)))
+    assert np.array_equal(w, np.abs(walsh[:, 1:, 1:]).max(axis=(1, 2)))

@@ -312,3 +312,10 @@ def test_store_bytes_contain_no_descriptor_material():
     device = _device(rounds=40)
     store = _enrolled(device, 200)
     assert protocol.store_leak_audit(store, device)
+
+
+def test_leak_audit_flags_a_device_id_that_is_the_master_key():
+    device = _device()
+    key_hex = suc.descriptor_dict(device)["master_key_hex"]
+    leaky = suc.SucDevice(key_hex, device.params, device._sboxes, device._master_key)
+    assert not protocol.store_leak_audit(_enrolled(leaky, 2), leaky)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from clonebench import BitString, substream
 from clonebench.environment import NOMINAL, EnvironmentConditions
 from clonebench import puf
+from clonebench.errors import DataFormatError
 
 
 # ----------------------------------------------------------------- arbiter
@@ -251,3 +253,15 @@ def test_descriptor_roundtrip(tmp_path_factory, model, size, k, seed, sigma, dra
             loaded.respond(challenges, env, substream(draw_seed, "n")),
             device.respond(challenges, env, substream(draw_seed, "n")),
         )
+
+
+def test_load_puf_missing_fields_raise_data_format_error(tmp_path):
+    path = tmp_path / "arbiter.json"
+    puf.save_puf(puf.arbiter_new(16, 3), path)
+    good = json.loads(path.read_text())
+    for mutate in (lambda d: d["params"].pop("n_stages"), lambda d: d.pop("seed")):
+        doc = json.loads(json.dumps(good))
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError):
+            puf.load_puf(path)

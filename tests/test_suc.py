@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clonebench import BitString, substream
-from clonebench import kernels, suc, trails
+from clonebench import kernels, suc
 from clonebench.errors import DataFormatError
 
 # a published-class optimal 4-bit S-box: differential uniformity 4, linearity 8
@@ -74,10 +74,9 @@ def test_ddt_rows_sum_to_16():
 def test_full_spectra_against_oracle():
     tables = _spectra_tables()
     assert _audit(tables) == [_oracle_maxima(t) for t in tables]
-    for table in tables:
-        ddt, _ = _audit_oracle(table)
-        compat = trails.ddt_compatible_outputs(np.array(table, dtype=np.uint8))
-        assert compat[1:] == [[b for b in range(1, 16) if ddt[a][b]] for a in range(1, 16)]
+    ddt, walsh = kernels.sbox_spectra(np.array(tables, dtype=np.uint8))
+    assert ddt.dtype == walsh.dtype == np.int64
+    assert [_audit_oracle(t) for t in tables] == list(zip(ddt.tolist(), walsh.tolist()))
 
 
 # ----------------------------------------------------------------- personalization

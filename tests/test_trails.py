@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clonebench import substream
-from clonebench import suc, trails
+from clonebench import kernels, suc, trails
 
 
 def test_single_round_needs_one_box():
@@ -77,9 +77,9 @@ def _reach_oracle(perm):
     return reach
 
 
-def test_place_tables_and_reach_match_oracles():
+def test_scatter_table_and_reach_match_oracles():
     for perm in _permutations():
-        assert np.array_equal(suc._perm_place_tables(perm), _place_oracle(perm))
+        assert np.array_equal(trails.scatter_table(perm), _place_oracle(perm))
         assert trails.nibble_reach(perm) == _reach_oracle(perm)
 
 
@@ -136,12 +136,12 @@ def test_sampled_trail_totals_match_oracle(rounds, n_trails):
         assert totals.tolist() == _sample_oracle(sboxes, perm, rounds, n_trails, substream(35, "oracle"))
 
 
-def test_ddt_compatible_outputs_nonempty():
+def test_bijective_ddt_rows_have_compatible_outputs():
     rng = substream(1, "ddt")
     table = rng.permutation(16).astype(np.uint8)
-    compat = trails.ddt_compatible_outputs(table)
+    ddt, _ = kernels.sbox_spectra(table[None])
     for a in range(1, 16):
-        assert compat[a], "bijective S-box maps nonzero differences to nonzero ones"
+        assert ddt[0, a, 0] == 0 and ddt[0, a, 1:].any(), "bijective S-box maps nonzero differences to nonzero ones"
 
 
 def test_sampled_concrete_trails_respect_dp_bound():
