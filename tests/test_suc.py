@@ -38,12 +38,6 @@ def _oracle_maxima(table):
     return max(ddt[a][b] for a, b in nonzero), max(abs(walsh[a][b]) for a, b in nonzero)
 
 
-def _spectra_tables():
-    """The identity, OPTIMAL_SBOX and 32 random bijections."""
-    rng = substream(30, "spectra")
-    return [list(range(16)), OPTIMAL_SBOX] + [rng.permutation(16).tolist() for _ in range(32)]
-
-
 def _audit(tables):
     ddt_max, walsh_max = kernels.sbox_audit_batch(np.asarray(tables, dtype=np.uint8))
     return list(zip(ddt_max.tolist(), walsh_max.tolist()))
@@ -72,7 +66,8 @@ def test_ddt_rows_sum_to_16():
 
 
 def test_full_spectra_against_oracle():
-    tables = _spectra_tables()
+    rng = substream(30, "spectra")
+    tables = [list(range(16)), OPTIMAL_SBOX] + [rng.permutation(16).tolist() for _ in range(32)]
     assert _audit(tables) == [_oracle_maxima(t) for t in tables]
     ddt, walsh = kernels.sbox_spectra(np.array(tables, dtype=np.uint8))
     assert ddt.dtype == walsh.dtype == np.int64
