@@ -136,7 +136,7 @@ def test_sampled_trail_totals_match_oracle(rounds, n_trails):
         assert totals.tolist() == _sample_oracle(sboxes, perm, rounds, n_trails, substream(35, "oracle"))
 
 
-def test_bijective_ddt_rows_have_compatible_outputs():
+def test_ddt_compatible_outputs_nonempty():
     rng = substream(1, "ddt")
     table = rng.permutation(16).astype(np.uint8)
     ddt, _ = kernels.sbox_spectra(table[None])
