@@ -30,12 +30,16 @@ SPARSE_OCCUPANCY_NOTE = (
 )
 
 
+#: relative gain slope per degree C away from 25 C
+TEMP_COEFF = 0.002
+
+#: per-component complex measurement noise
+MEAS_NOISE_SIGMA = 0.15
+
+
 @dataclass(frozen=True, eq=False)
 class StructureModel:
     freq_response: np.ndarray  # complex, one entry per bin, fixed at fabrication
-    temp_coeff: float  # relative gain slope per degree C away from 25 C
-    meas_noise_sigma: float  # per-component complex measurement noise
-    smoothing: float
     seed: int
 
     @property
@@ -87,13 +91,7 @@ class EntropyEstimate:
 
 
 # --------------------------------------------------------------------------- model
-def structure_new(
-    seed: int,
-    n_bins: int = 256,
-    smoothing: float = 0.0,
-    temp_coeff: float = 0.002,
-    meas_noise_sigma: float = 0.15,
-) -> StructureModel:
+def structure_new(seed: int, n_bins: int = 256, smoothing: float = 0.0) -> StructureModel:
     """Draw a structure: AR(1)-correlated complex spectrum across the bin grid."""
     if n_bins < 32:
         raise ValueError("n_bins must be >= 32")
@@ -107,15 +105,15 @@ def structure_new(
     for i in range(1, n_bins):
         response[i] = smoothing * response[i - 1] + carry * fresh[i]
     response.flags.writeable = False
-    return StructureModel(response, float(temp_coeff), float(meas_noise_sigma), float(smoothing), int(seed))
+    return StructureModel(response, int(seed))
 
 
-def _measure(model: StructureModel, response: np.ndarray, env: EnvironmentConditions, rng) -> np.ndarray:
-    """Read ``response`` (bins of ``model``) at the gain of env; rng=None reads noiselessly."""
-    y = response * (1.0 + model.temp_coeff * (env.temperature_c - 25.0))
-    if rng is not None and model.meas_noise_sigma > 0:
+def _measure(response: np.ndarray, env: EnvironmentConditions, rng) -> np.ndarray:
+    """Read the ``response`` bins at the gain of env; rng=None reads noiselessly."""
+    y = response * (1.0 + TEMP_COEFF * (env.temperature_c - 25.0))
+    if rng is not None:
         # the real part is drawn before the imaginary part; seeded reads depend on that order
-        y = y + model.meas_noise_sigma * (
+        y = y + MEAS_NOISE_SIGMA * (
             rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
         )
     return y
@@ -130,7 +128,7 @@ def wave_train_bins(train: WaveTrain, n_bins: int) -> np.ndarray:
 
 def stimulate(model: StructureModel, train: WaveTrain, env=NOMINAL, rng=None) -> np.ndarray:
     """Complex response at each wave-train slot; rng=None reads noiselessly."""
-    return _measure(model, model.freq_response[wave_train_bins(train, model.n_bins)], env, rng)
+    return _measure(model.freq_response[wave_train_bins(train, model.n_bins)], env, rng)
 
 
 def default_thresholds(n_bins: int) -> np.ndarray:
@@ -150,7 +148,7 @@ def fingerprint(model: StructureModel, env=NOMINAL, rng=None, thresholds=None) -
     thresholds = default_thresholds(model.n_bins) if thresholds is None else np.asarray(thresholds)
     if thresholds.size != model.n_bins:
         raise ValueError("threshold vector length != n_bins")
-    measured = _measure(model, model.freq_response, env, rng)
+    measured = _measure(model.freq_response, env, rng)
     bits = BitString((np.abs(measured) > thresholds).astype(np.uint8))
     return Fingerprint(bits, thresholds, device_id=f"structure-{model.seed}")
 

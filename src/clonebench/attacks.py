@@ -33,15 +33,12 @@ class SucBitTarget:
 
     name = "suc_bit"
 
-    def __init__(self, device: SucDevice, bit_index: int = SUC_TARGET_BIT):
-        if not 0 <= bit_index < device.challenge_bits:
-            raise ValueError("bit_index out of range")
+    def __init__(self, device: SucDevice):
         self.device = device
-        self.bit_index = bit_index
         self.challenge_bits = device.challenge_bits
 
     def respond(self, challenges) -> np.ndarray:
-        return self.device.respond(challenges)[self.bit_index :: self.challenge_bits]
+        return self.device.respond(challenges)[SUC_TARGET_BIT :: self.challenge_bits]
 
 
 # --------------------------------------------------------------------------- data + model

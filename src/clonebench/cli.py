@@ -40,15 +40,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _env_from_args(args) -> EnvironmentConditions:
-    temp = getattr(args, "temp", None)
-    volt = getattr(args, "volt", None)
-    return EnvironmentConditions(
-        NOMINAL.temperature_c if temp is None else temp,
-        NOMINAL.voltage_v if volt is None else volt,
-    )
-
-
 # --------------------------------------------------------------------------- puf
 def _build_puf(args, seed):
     model = args.model
@@ -72,7 +63,7 @@ def _puf_challenges(device, n, rng):
 def cmd_puf_simulate(args):
     seed = _resolve_seed(args)
     device = _build_puf(args, seed)
-    env = _env_from_args(args)
+    env = EnvironmentConditions(args.temp, args.volt)
     rng = substream(seed, "puf-simulate")
     challenges = _puf_challenges(device, args.challenges, rng)
     noisy = device.respond(challenges, env, rng)
@@ -175,7 +166,7 @@ def cmd_suc_analyze(args):
 
 def cmd_suc_encrypt(args):
     device = suc.load_device(args.device)
-    block = BitString.from_hex(args.block_hex, device.params.block_bits)
+    block = BitString.from_hex(args.block_hex, suc.BLOCK_BITS)
     return {"device_id": device.device_id, "ciphertext_hex": device.encrypt(block).to_hex()}, EXIT_OK
 
 
@@ -184,7 +175,7 @@ def cmd_acoustic_fingerprint(args):
     seed = _resolve_seed(args)
     model = acoustic.structure_new(seed, args.bins, args.smoothing)
     rng = None if args.noiseless else substream(seed, "acoustic-measure")
-    fp = acoustic.fingerprint(model, _env_from_args(args), rng)
+    fp = acoustic.fingerprint(model, EnvironmentConditions(args.temp, args.volt), rng)
     if args.fingerprint_out:
         acoustic.save_fingerprint(fp, args.fingerprint_out)
         log.info("fingerprint written to %s", args.fingerprint_out)
@@ -227,6 +218,8 @@ def cmd_enroll(args):
     device = suc.load_device(args.device)
     if os.path.exists(args.store):
         store = protocol.load_store(args.store)
+        if store.mode != args.mode:
+            raise ValueError(f"{args.store} holds {store.mode} CRPs, not --mode {args.mode}")
     else:
         store = protocol.CrpStore(mode=args.mode)
     stored = protocol.enroll(device, args.pairs, substream(seed, "enroll"), store)
@@ -235,7 +228,11 @@ def cmd_enroll(args):
     return {"seed": seed, "device_id": device.device_id, "stored": stored, "mode": store.mode}, EXIT_OK
 
 
-def _channel_from_args(args, device, seed):
+def _run_session(args, seed, exchange):
+    """Load the device and store, run ``exchange(store, channel, device_id)`` over
+    the channel the session flags ask for, and save the store."""
+    device = suc.load_device(args.device)
+    store = protocol.load_store(args.store)
     if args.impostor:
         agent = protocol.RandomAgent(substream(seed, "impostor"))
     else:
@@ -244,20 +241,18 @@ def _channel_from_args(args, device, seed):
     if args.tamper_bits:
         positions = [int(p) for p in args.tamper_bits.split(",") if p != ""]
         channel = protocol.tamper_channel(channel, positions)
-    return channel
+    verdict = exchange(store, channel, device.device_id)
+    protocol.save_store(store, args.store)
+    return verdict, device.device_id
 
 
 def cmd_identify(args):
     seed = _resolve_seed(args)
-    device = suc.load_device(args.device)
-    store = protocol.load_store(args.store)
-    channel = _channel_from_args(args, device, seed)
-    verdict = protocol.identify(store, channel, device.device_id)
-    protocol.save_store(store, args.store)
+    verdict, device_id = _run_session(args, seed, protocol.identify)
     result = {
         "verdict": verdict.verdict,
         "reason": verdict.reason,
-        "device_id": device.device_id,
+        "device_id": device_id,
         "seed": seed,
     }
     return result, EXIT_OK if verdict.accepted else EXIT_REJECT
@@ -265,21 +260,15 @@ def cmd_identify(args):
 
 def cmd_combined_verify(args):
     seed = _resolve_seed(args)
-    device = suc.load_device(args.device)
-    store = protocol.load_store(args.store)
     helper = fuzzy.load_helper(args.helper)
     fp = acoustic.load_fingerprint(args.fingerprint)
-    channel = _channel_from_args(args, device, seed)
-    verdict = protocol.combined_verify(
-        store,
-        helper,
-        fp,
-        channel,
-        device.device_id,
-        args.tau,
-        structural_dof_bits=args.structural_dof,
+    verdict, _ = _run_session(
+        args,
+        seed,
+        lambda store, channel, device_id: protocol.combined_verify(
+            store, helper, fp, channel, device_id, args.tau, structural_dof_bits=args.structural_dof
+        ),
     )
-    protocol.save_store(store, args.store)
     result = {"verdict": verdict.verdict, "reason": verdict.reason, "seed": seed}
     if verdict.entropy_bits is not None:
         result["entropy_bits"] = verdict.entropy_bits
@@ -321,10 +310,33 @@ def cmd_repro(args):
 
 
 # --------------------------------------------------------------------------- wiring
-def _add_common(sp):
+def _add_common(sp, handler):
     sp.add_argument("--seed", type=int, default=None, help="run seed (default: CLONEBENCH_SEED or OS entropy)")
-    sp.add_argument("--config", default=None, help="JSON file with default values for omitted flags")
+    sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
     sp.add_argument("--out", default=None, help="also write the JSON result to this path")
+    sp.set_defaults(handler=handler, leaf=sp)
+
+
+def _add_puf_model(sp, challenges):
+    sp.add_argument("--model", choices=["arbiter", "xor", "ro", "sram"], required=True)
+    sp.add_argument("--stages", type=int, default=64)
+    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--oscillators", type=int, default=128)
+    sp.add_argument("--cells", type=int, default=256)
+    sp.add_argument("--noise-sigma", type=float, default=0.0)
+    sp.add_argument("--challenges", type=int, default=challenges)
+
+
+def _add_env(sp):
+    sp.add_argument("--temp", type=float, default=NOMINAL.temperature_c)
+    sp.add_argument("--volt", type=float, default=NOMINAL.voltage_v)
+
+
+def _add_session(sp):
+    sp.add_argument("--device", required=True)
+    sp.add_argument("--store", required=True)
+    sp.add_argument("--tamper-bits", default=None, help="comma-separated bit positions to flip in transit")
+    sp.add_argument("--impostor", action="store_true", help="replace the device with a random responder")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,29 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("puf", help="simulate PUF devices and population metrics")
     puf_sub = p.add_subparsers(dest="action", required=True)
     ps = puf_sub.add_parser("simulate")
-    ps.add_argument("--model", choices=["arbiter", "xor", "ro", "sram"], required=True)
-    ps.add_argument("--stages", type=int, default=64)
-    ps.add_argument("--k", type=int, default=2)
-    ps.add_argument("--oscillators", type=int, default=128)
-    ps.add_argument("--cells", type=int, default=256)
-    ps.add_argument("--noise-sigma", type=float, default=0.0)
-    ps.add_argument("--challenges", type=int, default=64)
-    ps.add_argument("--temp", type=float, default=None)
-    ps.add_argument("--volt", type=float, default=None)
+    _add_puf_model(ps, challenges=64)
+    _add_env(ps)
     ps.add_argument("--save", default=None, help="write device descriptor JSON here")
-    _add_common(ps)
-    ps.set_defaults(handler=cmd_puf_simulate)
+    _add_common(ps, cmd_puf_simulate)
     pm = puf_sub.add_parser("metrics")
-    pm.add_argument("--model", choices=["arbiter", "xor", "ro", "sram"], required=True)
+    _add_puf_model(pm, challenges=128)
     pm.add_argument("--devices", type=int, default=50)
-    pm.add_argument("--stages", type=int, default=64)
-    pm.add_argument("--k", type=int, default=2)
-    pm.add_argument("--oscillators", type=int, default=128)
-    pm.add_argument("--cells", type=int, default=256)
-    pm.add_argument("--noise-sigma", type=float, default=0.0)
-    pm.add_argument("--challenges", type=int, default=128)
-    _add_common(pm)
-    pm.set_defaults(handler=cmd_puf_metrics)
+    _add_common(pm, cmd_puf_metrics)
 
     f = sub.add_parser("fe", help="fuzzy extractor design, generate, reproduce")
     fe_sub = f.add_subparsers(dest="action", required=True)
@@ -364,21 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--ber", type=float, required=True)
     fd.add_argument("--fail-target", type=float, default=1e-6)
     fd.add_argument("--blocks", type=int, required=True)
-    _add_common(fd)
-    fd.set_defaults(handler=cmd_fe_design)
+    _add_common(fd, cmd_fe_design)
     fg = fe_sub.add_parser("generate")
     fg.add_argument("--input-hex", required=True)
     fg.add_argument("--n-rep", type=int, required=True)
     fg.add_argument("--blocks", type=int, required=True)
     fg.add_argument("--key-len", type=int, default=128)
     fg.add_argument("--helper-out", default=None)
-    _add_common(fg)
-    fg.set_defaults(handler=cmd_fe_generate)
+    _add_common(fg, cmd_fe_generate)
     fr = fe_sub.add_parser("reproduce")
     fr.add_argument("--input-hex", required=True)
     fr.add_argument("--helper", required=True)
-    _add_common(fr)
-    fr.set_defaults(handler=cmd_fe_reproduce)
+    _add_common(fr, cmd_fe_reproduce)
 
     s = sub.add_parser("suc", help="secret unknown cipher operations")
     suc_sub = s.add_subparsers(dest="action", required=True)
@@ -387,18 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp_.add_argument("--rounds", type=int, default=40)
     sp_.add_argument("--device-out", default=None, help="write the secret device file here")
     sp_.add_argument("--unsafe-dump", action="store_true", help="print the descriptor to stdout")
-    _add_common(sp_)
-    sp_.set_defaults(handler=cmd_suc_personalize)
+    _add_common(sp_, cmd_suc_personalize)
     sa = suc_sub.add_parser("analyze")
     sa.add_argument("--rounds", type=int, default=40)
     sa.add_argument("--samples", type=int, default=20000)
-    _add_common(sa)
-    sa.set_defaults(handler=cmd_suc_analyze)
+    _add_common(sa, cmd_suc_analyze)
     se = suc_sub.add_parser("encrypt")
     se.add_argument("--device", required=True)
     se.add_argument("--block-hex", required=True)
-    _add_common(se)
-    se.set_defaults(handler=cmd_suc_encrypt)
+    _add_common(se, cmd_suc_encrypt)
 
     a = sub.add_parser("acoustic", help="structural identity pipeline")
     ac_sub = a.add_subparsers(dest="action", required=True)
@@ -407,50 +398,37 @@ def build_parser() -> argparse.ArgumentParser:
     af.add_argument("--smoothing", type=float, default=0.0)
     af.add_argument("--noiseless", action="store_true")
     af.add_argument("--fingerprint-out", default=None, help="write the fingerprint file here")
-    af.add_argument("--temp", type=float, default=None)
-    af.add_argument("--volt", type=float, default=None)
-    _add_common(af)
-    af.set_defaults(handler=cmd_acoustic_fingerprint)
+    _add_env(af)
+    _add_common(af, cmd_acoustic_fingerprint)
     ae = ac_sub.add_parser("entropy")
     ae.add_argument("--devices", type=int, default=1000)
     ae.add_argument("--bins", type=int, default=256)
     ae.add_argument("--smoothing", type=float, default=0.0)
-    _add_common(ae)
-    ae.set_defaults(handler=cmd_acoustic_entropy)
+    _add_common(ae, cmd_acoustic_entropy)
     asp = ac_sub.add_parser("space")
     asp.add_argument("--t", type=int, required=True)
     asp.add_argument("--k", type=int, required=True)
     asp.add_argument("--p", type=int, default=None)
-    _add_common(asp)
-    asp.set_defaults(handler=cmd_acoustic_space)
+    _add_common(asp, cmd_acoustic_space)
 
     e = sub.add_parser("enroll", help="bank single-use CRPs with the trusted authority")
     e.add_argument("--device", required=True)
     e.add_argument("--pairs", type=int, required=True)
     e.add_argument("--store", required=True)
-    e.add_argument("--mode", choices=[protocol.FORWARD, protocol.INVERSE], default=protocol.FORWARD)
-    _add_common(e)
-    e.set_defaults(handler=cmd_enroll)
+    e.add_argument("--mode", choices=[protocol.FORWARD, protocol.INVERSE], default=protocol.FORWARD, help="must match an existing store")
+    _add_common(e, cmd_enroll)
 
     i = sub.add_parser("identify", help="run one identification round")
-    i.add_argument("--device", required=True)
-    i.add_argument("--store", required=True)
-    i.add_argument("--tamper-bits", default=None, help="comma-separated bit positions to flip in transit")
-    i.add_argument("--impostor", action="store_true", help="replace the device with a random responder")
-    _add_common(i)
-    i.set_defaults(handler=cmd_identify)
+    _add_session(i)
+    _add_common(i, cmd_identify)
 
     cv = sub.add_parser("combined-verify", help="joint structural + cipher verification")
-    cv.add_argument("--device", required=True)
-    cv.add_argument("--store", required=True)
+    _add_session(cv)
     cv.add_argument("--helper", required=True)
     cv.add_argument("--fingerprint", required=True)
     cv.add_argument("--tau", type=float, default=0.25)
     cv.add_argument("--structural-dof", type=float, default=None)
-    cv.add_argument("--tamper-bits", default=None)
-    cv.add_argument("--impostor", action="store_true")
-    _add_common(cv)
-    cv.set_defaults(handler=cmd_combined_verify)
+    _add_common(cv, cmd_combined_verify)
 
     at = sub.add_parser("attack", help="cloning attacks")
     at_sub = at.add_subparsers(dest="action", required=True)
@@ -462,35 +440,58 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--k", type=int, default=2)
     am.add_argument("--epochs", type=int, default=500)
     am.add_argument("--lr", type=float, default=0.5)
-    _add_common(am)
-    am.set_defaults(handler=cmd_attack_model)
+    _add_common(am, cmd_attack_model)
     ar = at_sub.add_parser("readout")
     ar.add_argument("--cells", type=int, default=None)
-    _add_common(ar)
-    ar.set_defaults(handler=cmd_attack_readout)
+    _add_common(ar, cmd_attack_readout)
 
     r = sub.add_parser("repro", help="named acceptance experiments")
     r.add_argument("name", choices=sorted(repro.EXPERIMENTS))
-    _add_common(r)
-    r.set_defaults(handler=cmd_repro)
+    _add_common(r, cmd_repro)
 
     return parser
 
 
-def _apply_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_value(path, key, action, value):
+    """A config value as the flag would parse it on the command line."""
+    if action.nargs == 0:  # a switch such as --impostor
+        if not isinstance(value, bool):
+            raise DataFormatError(f"config {path}: {key!r} must be true or false")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        parsed = action.type(text) if action.type else text
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"config {path}: bad value for {key!r}: {exc}") from exc
+    if action.choices is not None and parsed not in action.choices:
+        raise DataFormatError(f"config {path}: {key!r} must be one of {list(action.choices)}")
+    return parsed
+
+
+def _apply_config(parser, argv, args):
+    """Parse again with the config file's values as the defaults of the verb's flags.
+
+    Keys are flag names without the dashes (``noise-sigma`` or ``noise_sigma``);
+    flags given on the command line win.
+    """
+    if not args.config:
+        return args
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
+            values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(defaults, dict):
+    if not isinstance(values, dict):
         raise DataFormatError(f"config {args.config} must be a JSON object")
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+    flags = {a.dest: a for a in args.leaf._actions if a.option_strings and a.dest != argparse.SUPPRESS}
+    defaults = {}
+    for key, value in values.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise DataFormatError(f"config {args.config}: {key!r} is not a flag of this verb")
+        defaults[action.dest] = _config_value(args.config, key, action, value)
+    args.leaf.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -501,7 +502,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        _apply_config(args)
+        args = _apply_config(parser, argv, args)
         result, code = args.handler(args)
     except DataFormatError as exc:
         log.error("data error: %s", exc)

@@ -29,17 +29,6 @@ class PopulationReport:
             "dof_bits": self.dof_bits,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "PopulationReport":
-        return cls(
-            doc["model"],
-            doc["n_devices"],
-            doc["uniqueness_mean"],
-            doc["uniqueness_std"],
-            doc["uniformity"],
-            doc["dof_bits"],
-        )
-
 
 @dataclass(frozen=True)
 class ReliabilityTable:
@@ -59,13 +48,6 @@ class ReliabilityTable:
                 {"temperature_c": t, "voltage_v": v, "ber": b} for t, v, b in self.rows
             ],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ReliabilityTable":
-        return cls(
-            doc["model"],
-            tuple((r["temperature_c"], r["voltage_v"], r["ber"]) for r in doc["rows"]),
-        )
 
 
 def uniqueness(population, challenges=None) -> PopulationReport:

@@ -17,7 +17,7 @@ from .bitstring import BitString
 from .errors import DataFormatError
 from .fuzzy import HelperData, fe_reproduce_detail
 from .jsonio import decoding, dumps_canonical, read_json, write_json
-from .suc import SucDevice, descriptor_secret_strings
+from .suc import BLOCK_BITS, SucDevice, descriptor_secret_strings
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -110,7 +110,6 @@ class SucAgent:
 
     def __init__(self, device: SucDevice):
         self._device = device
-        self.device_id = device.device_id
 
     def forward(self, challenge: BitString) -> BitString:
         return self._device.encrypt(challenge)
@@ -122,13 +121,11 @@ class SucAgent:
 class RandomAgent:
     """Impostor baseline: answers every exchange with uniform random bits."""
 
-    def __init__(self, rng, n_bits: int = 64, device_id: str = "impostor"):
+    def __init__(self, rng):
         self._rng = rng
-        self._n_bits = n_bits
-        self.device_id = device_id
 
     def forward(self, challenge: BitString) -> BitString:
-        return BitString.random(self._n_bits, self._rng)
+        return BitString.random(BLOCK_BITS, self._rng)
 
     inverse = forward
 
@@ -152,11 +149,11 @@ class DeviceChannel:
         return self._deliver(self.agent.inverse(ciphertext))
 
 
-def tamper_channel(channel: DeviceChannel, flip_positions, n_bits: int = 64) -> DeviceChannel:
+def tamper_channel(channel: DeviceChannel, flip_positions) -> DeviceChannel:
     """Channel that additionally XORs the given bit positions into every reply."""
-    mask = np.zeros(n_bits, dtype=np.uint8)
+    mask = np.zeros(BLOCK_BITS, dtype=np.uint8)
     for pos in flip_positions:
-        if not 0 <= pos < n_bits:
+        if not 0 <= pos < BLOCK_BITS:
             raise ValueError(f"flip position {pos} out of range")
         mask[pos] ^= 1
     new_mask = BitString(mask)

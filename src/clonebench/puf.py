@@ -132,10 +132,6 @@ def arbiter_eval_batch(puf: ArbiterPuf, challenges, env=NOMINAL, rng=None) -> np
     return (delta > 0).astype(np.uint8)
 
 
-def arbiter_eval(puf: ArbiterPuf, c: BitString, env=NOMINAL, rng=None) -> int:
-    return int(arbiter_eval_batch(puf, c, env, rng)[0])
-
-
 def arbiter_eval_path(puf: ArbiterPuf, c: BitString) -> int:
     """Noiseless response by racing the two signal paths stage by stage."""
     if len(c) != puf.n_stages:
@@ -210,10 +206,10 @@ class RoPuf:
     seed: int
 
     name = "ro"
-    challenge_bits = 0  # the response is the fixed default pair set
+    challenge_bits = 0  # the response compares the fixed pairs (2i, 2i+1)
 
     def respond(self, challenges=None, env=NOMINAL, rng=None) -> np.ndarray:
-        return _per_row(challenges, lambda: ro_response(self, None, rng).bits)
+        return _per_row(challenges, lambda: ro_response(self, rng).bits)
 
     def descriptor(self) -> dict:
         return {
@@ -233,27 +229,16 @@ def ro_new(m_oscillators: int, seed: int, meas_sigma: float = 0.0) -> RoPuf:
     return RoPuf(int(m_oscillators), freqs, float(meas_sigma), int(seed))
 
 
-def ro_eval(puf: RoPuf, pair, rng=None) -> int:
-    """Compare two oscillator frequency counts; each measurement is noisy separately."""
-    i, j = pair
-    if i == j:
-        raise ValueError("oscillator pair must be distinct")
-    if not (0 <= i < puf.m_oscillators and 0 <= j < puf.m_oscillators):
-        raise ValueError("oscillator index out of range")
-    fi, fj = puf.frequencies[i], puf.frequencies[j]
+def ro_response(puf: RoPuf, rng=None) -> BitString:
+    """Bit i is 1 when oscillator 2i counts faster than oscillator 2i+1.
+
+    Each paired frequency is read with its own noise draw, drawn in oscillator
+    order (seeded reads depend on it); an odd last oscillator is left unpaired.
+    """
+    freqs = puf.frequencies[: puf.m_oscillators // 2 * 2].reshape(-1, 2)
     if rng is not None and puf.meas_sigma > 0:
-        fi = fi + rng.normal(0.0, puf.meas_sigma)
-        fj = fj + rng.normal(0.0, puf.meas_sigma)
-    return int(fi > fj)
-
-
-def ro_default_pairs(puf: RoPuf):
-    return [(2 * i, 2 * i + 1) for i in range(puf.m_oscillators // 2)]
-
-
-def ro_response(puf: RoPuf, pairs=None, rng=None) -> BitString:
-    pairs = ro_default_pairs(puf) if pairs is None else pairs
-    return BitString([ro_eval(puf, p, rng) for p in pairs])
+        freqs = freqs + rng.normal(0.0, puf.meas_sigma, freqs.shape)
+    return BitString((freqs[:, 0] > freqs[:, 1]).astype(np.uint8))
 
 
 # =====================================================================  SRAM

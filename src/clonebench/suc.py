@@ -19,10 +19,12 @@ from .bitstring import BitString
 from .environment import NOMINAL
 from .errors import DataFormatError, GenerationFailureError
 from .jsonio import decoding, read_json, write_json
-from .rng import substream
 
 #: bit i of the state moves to position 16*i mod 63 (position 63 is fixed)
 DEFAULT_PERMUTATION = tuple((16 * i) % 63 for i in range(63)) + (63,)
+
+#: the SPN's block width: 16 nibbles of 4 bits
+BLOCK_BITS = 64
 
 _KEY_ROTATION = 61  # coprime to 80, spreads every key bit across round keys
 _SBOX_BUDGET = 10**6
@@ -32,8 +34,6 @@ _LOG2_16_FACTORIAL = math.log2(math.factorial(16))
 
 @dataclass(frozen=True)
 class SucParams:
-    block_bits: int = 64
-    nibbles: int = 16
     rounds: int = 40
     key_bits: int = 80
     sbox_ddt_max: int = 4
@@ -41,14 +41,12 @@ class SucParams:
     permutation: tuple = DEFAULT_PERMUTATION
 
     def __post_init__(self):
-        if self.block_bits != 64 or self.nibbles != 16:
-            raise ValueError("this SPN is fixed at 64-bit blocks of 16 nibbles")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.key_bits < 64:
             raise ValueError("key_bits must cover at least one round key")
         perm = trails.validate_permutation(self.permutation)
-        if perm.size != self.block_bits:
+        if perm.size != BLOCK_BITS:
             raise ValueError("permutation must act on 64 bit positions")
 
 
@@ -81,18 +79,18 @@ def sbox_accepted_mask(tables: np.ndarray, params: SucParams) -> np.ndarray:
     return (ddt_max <= params.sbox_ddt_max) & (walsh_max <= params.sbox_walsh_max)
 
 
-def generate_sbox(params: SucParams, rng, budget: int = _SBOX_BUDGET) -> np.ndarray:
+def generate_sbox(params: SucParams, rng) -> np.ndarray:
     """Rejection-sample one acceptable S-box; draws stay sequential for replayability."""
     chunk = 64
     drawn = 0
-    while drawn < budget:
-        tables = sample_sbox_tables(min(chunk, budget - drawn), rng)
+    while drawn < _SBOX_BUDGET:
+        tables = sample_sbox_tables(min(chunk, _SBOX_BUDGET - drawn), rng)
         drawn += tables.shape[0]
         good = sbox_accepted_mask(tables, params)
         idx = np.flatnonzero(good)
         if idx.size:
             return tables[idx[0]].copy()
-    raise GenerationFailureError(f"no acceptable S-box in {budget} candidates")
+    raise GenerationFailureError(f"no acceptable S-box in {_SBOX_BUDGET} candidates")
 
 
 def sbox_entropy_bits(sample_budget: int, rng, params: SucParams = SucParams()) -> SboxEntropy:
@@ -176,13 +174,13 @@ class SucDevice:
     # ------------------------------------------------------------- device interface
     @property
     def challenge_bits(self) -> int:
-        return self.params.block_bits
+        return BLOCK_BITS
 
     def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
         """Ciphertext bits of each plaintext row; a digital device has no noise path."""
         rows = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
-        if rows.shape[1] != self.params.block_bits:
-            raise ValueError(f"challenge rows must be {self.params.block_bits} bits")
+        if rows.shape[1] != BLOCK_BITS:
+            raise ValueError(f"challenge rows must be {BLOCK_BITS} bits")
         blocks = np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
         return np.unpackbits(self.encrypt_blocks(blocks).astype(">u8").view(np.uint8))
 
@@ -196,14 +194,14 @@ class SucDevice:
         return kernels.spn_batch(blocks, self._dec, self._dec_keys)
 
     def encrypt(self, x: BitString) -> BitString:
-        if len(x) != self.params.block_bits:
-            raise ValueError(f"block must be {self.params.block_bits} bits")
-        return BitString.from_int(kernels.spn_block(x.to_int(), *self._enc_block), self.params.block_bits)
+        if len(x) != BLOCK_BITS:
+            raise ValueError(f"block must be {BLOCK_BITS} bits")
+        return BitString.from_int(kernels.spn_block(x.to_int(), *self._enc_block), BLOCK_BITS)
 
     def decrypt(self, y: BitString) -> BitString:
-        if len(y) != self.params.block_bits:
-            raise ValueError(f"block must be {self.params.block_bits} bits")
-        return BitString.from_int(kernels.spn_block(y.to_int(), *self._dec_block), self.params.block_bits)
+        if len(y) != BLOCK_BITS:
+            raise ValueError(f"block must be {BLOCK_BITS} bits")
+        return BitString.from_int(kernels.spn_block(y.to_int(), *self._dec_block), BLOCK_BITS)
 
     def __repr__(self):
         return f"SucDevice(device_id={self.device_id!r}, rounds={self.params.rounds})"
@@ -223,17 +221,17 @@ def personalize(params: SucParams, trng, device_id: str) -> SucDevice:
 
 
 # --------------------------------------------------------------------------- analysis
-def security_report(params: SucParams, sample_budget: int = 20000, rng=None) -> SecurityReport:
+def security_report(params: SucParams, sample_budget: int, rng) -> SecurityReport:
     """Cardinality and single-trail attack-complexity lower bounds for this cipher class.
 
     cardinality_bits counts the key plus per-round S-box choice entropy measured
-    by Monte-Carlo acceptance sampling.  With A = minimum active S-boxes, the
-    best differential trail has probability <= (2^-2)^A and the best linear
-    trail correlation <= 2^-A, so both attacks need on the order of 2^(2A) data.
+    by Monte-Carlo acceptance sampling of ``sample_budget`` tables drawn from
+    ``rng``.  With A = minimum active S-boxes, the best differential trail has
+    probability <= (2^-2)^A and the best linear trail correlation <= 2^-A, so
+    both attacks need on the order of 2^(2A) data.
     """
     if sample_budget < 10**3:
         raise ValueError("sample_budget must be >= 1000")
-    rng = substream(0, "suc", "sbox-entropy") if rng is None else rng
     entropy = sbox_entropy_bits(sample_budget, rng, params)
     active = trails.min_active_sboxes(params.permutation, params.rounds)
     return SecurityReport(

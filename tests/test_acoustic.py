@@ -60,11 +60,12 @@ def test_stimulate_deterministic():
 
 
 def test_stimulate_temperature_gain():
-    model = acoustic.structure_new(5, temp_coeff=0.01)
+    model = acoustic.structure_new(5)
     train = acoustic.WaveTrain((1, 2), 32, 2)
     hot = acoustic.stimulate(model, train, EnvironmentConditions(temperature_c=85.0))
     nominal = acoustic.stimulate(model, train)
-    assert np.allclose(hot, nominal * (1 + 0.01 * 60))
+    assert np.allclose(hot, nominal * (1 + acoustic.TEMP_COEFF * 60))
+    assert not np.allclose(hot, nominal)
 
 
 def test_stimulate_rejects_oversized_grid():

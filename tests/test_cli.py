@@ -134,6 +134,71 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert json.loads(out)["p"] == 10
 
 
+def _simulate_with_config(tmp_path, capsys, config, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run_cli(capsys, "puf", "simulate", "--model", "arbiter", "--seed", "3", "--config", str(cfg), *flags)
+
+
+def test_config_sets_flags_that_have_real_defaults(tmp_path, capsys):
+    code, out = _simulate_with_config(tmp_path, capsys, {"stages": 8, "noise-sigma": 0.5, "challenges": 4})
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["descriptor"]["params"] == {"n_stages": 8, "noise_sigma": 0.5}
+    assert doc["response_bits"] == 4
+
+
+@pytest.mark.parametrize("flag", ["--stages", "--stag"])
+def test_config_loses_to_explicit_flags_abbreviations_included(tmp_path, capsys, flag):
+    code, out = _simulate_with_config(tmp_path, capsys, {"stages": 8, "challenges": 4}, flag, "12")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["descriptor"]["params"]["n_stages"] == 12
+    assert doc["response_bits"] == 4
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    code, configured = _simulate_with_config(tmp_path, capsys, {"temp": -40, "volt": "1.3"})
+    assert code == 0
+    _, flagged = run_cli(capsys, "puf", "simulate", "--model", "arbiter", "--seed", "3", "--temp", "-40", "--volt", "1.3")
+    assert configured == flagged
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"nonsense": 1}, {"bins": 64}, {"model": "bogus"}, {"stages": "many"}, {"stages": True}, ["stages", 8]],
+    ids=["unknown-key", "other-verb-flag", "bad-choice", "bad-int", "bool-for-int", "not-an-object"],
+)
+def test_config_key_or_value_that_fits_no_flag_exits_3(tmp_path, capsys, config):
+    code, out = _simulate_with_config(tmp_path, capsys, config)
+    assert code == 3 and out == ""
+
+
+def test_config_switch_takes_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noiseless": "yes"}))
+    assert cli.main(["acoustic", "fingerprint", "--bins", "64", "--seed", "1", "--config", str(cfg)]) == 3
+    cfg.write_text(json.dumps({"noiseless": True}))
+    _, configured = run_cli(capsys, "acoustic", "fingerprint", "--bins", "64", "--seed", "1", "--config", str(cfg))
+    _, flagged = run_cli(capsys, "acoustic", "fingerprint", "--bins", "64", "--seed", "1", "--noiseless")
+    assert configured == flagged
+
+
+def test_enroll_mode_must_match_existing_store(tmp_path, capsys):
+    dev = tmp_path / "dev.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "m", "--rounds", "4", "--seed", "80", "--device-out", str(dev))
+    for mode in ("forward", "inverse"):
+        store = tmp_path / f"{mode}.json"
+        other = "inverse" if mode == "forward" else "forward"
+        argv = ["enroll", "--device", str(dev), "--pairs", "2", "--store", str(store), "--seed", "81"]
+        assert cli.main(argv + ["--mode", mode]) == 0
+        banked = store.read_text()
+        assert cli.main(argv + ["--mode", other]) == 2
+        assert store.read_text() == banked
+        assert cli.main(argv + ["--mode", mode, "--seed", "82"]) == 0
+        assert json.loads(store.read_text())["mode"] == mode
+
+
 def test_out_flag_writes_result_file(tmp_path, capsys):
     path = tmp_path / "result.json"
     code, out = run_cli(capsys, "acoustic", "space", "--t", "4", "--k", "3", "--out", str(path))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -86,10 +87,10 @@ def test_reports_survive_json_roundtrip_exactly():
     devices = [puf.sram_new(128, int(rng.integers(0, 2**63))) for _ in range(10)]
     report = metrics.uniqueness(devices)
     doc = json.loads(json.dumps(report.to_json()))
-    assert metrics.PopulationReport.from_json(doc) == report
-    assert doc["schema_version"] == 1
+    assert doc == {"schema_version": 1, **dataclasses.asdict(report)}
 
     grid = [EnvironmentConditions(temperature_c=25.0)]
     table = metrics.reliability(devices[0], grid, reps=100, rng=substream(13, "r"))
     doc = json.loads(json.dumps(table.to_json()))
-    assert metrics.ReliabilityTable.from_json(doc) == table
+    assert doc["model"] == table.model
+    assert [(r["temperature_c"], r["voltage_v"], r["ber"]) for r in doc["rows"]] == list(table.rows)

@@ -50,7 +50,7 @@ def test_arbiter_bias_only_weights_give_one():
     device = puf.ArbiterPuf(4, base.stage_delays, w, 0.0, 3)
     for m in range(16):
         c = BitString([(m >> i) & 1 for i in range(4)])
-        assert puf.arbiter_eval(device, c) == 1
+        assert device.respond(c)[0] == 1
 
 
 def test_arbiter_linear_form_matches_path_race_exhaustively():
@@ -65,14 +65,14 @@ def test_arbiter_seeded_case_is_stable():
     # n=4, seed=42, challenge 0110: both routes agree on the recorded bit
     device = puf.arbiter_new(4, 42)
     c = BitString([0, 1, 1, 0])
-    assert puf.arbiter_eval(device, c) == 1
+    assert device.respond(c)[0] == 1
     assert puf.arbiter_eval_path(device, c) == 1
 
 
 def test_arbiter_challenge_length_checked():
     device = puf.arbiter_new(8, 1)
     with pytest.raises(ValueError):
-        puf.arbiter_eval(device, BitString([0, 1]))
+        device.respond(BitString([0, 1]))
 
 
 def test_arbiter_noise_determinism_per_stream_position():
@@ -112,28 +112,56 @@ def test_xor_k4_uniformity():
 
 
 # ----------------------------------------------------------------- ring oscillator
+def _ro_pair_oracle(device, n_rows, rng):
+    """Per-pair scalar comparator over the fixed pairs (2i, 2i+1): each
+    frequency is read with its own noise draw, 2i before 2i+1."""
+    bits = []
+    for _ in range(n_rows):
+        for i in range(0, device.m_oscillators - 1, 2):
+            fi, fj = device.frequencies[i], device.frequencies[i + 1]
+            if rng is not None and device.meas_sigma > 0:
+                fi = fi + rng.normal(0.0, device.meas_sigma)
+                fj = fj + rng.normal(0.0, device.meas_sigma)
+            bits.append(int(fi > fj))
+    return np.array(bits, dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 129),
+    seed=st.integers(0, 2**63 - 1),
+    sigma=st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    rows=st.integers(1, 3),
+    draw_seed=st.integers(0, 2**32 - 1),
+    noisy=st.booleans(),
+)
+def test_ro_respond_matches_per_pair_oracle(m, seed, sigma, rows, draw_seed, noisy):
+    device = puf.ro_new(m, seed, sigma)
+    challenges = None if rows == 1 else [None] * rows
+    fast_rng = substream(draw_seed, "ro") if noisy else None
+    slow_rng = substream(draw_seed, "ro") if noisy else None
+    got = device.respond(challenges, rng=fast_rng)
+    assert np.array_equal(got, _ro_pair_oracle(device, rows, slow_rng))
+    if noisy:  # the same number of draws, so later draws stay aligned
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
 def test_ro_noiseless_comparison_and_antisymmetry():
     device = puf.ro_new(16, 21)
-    i, j = 3, 8
-    hi, lo = (i, j) if device.frequencies[i] > device.frequencies[j] else (j, i)
-    assert puf.ro_eval(device, (hi, lo)) == 1
-    assert puf.ro_eval(device, (lo, hi)) == 0
-
-
-def test_ro_identical_pair_rejected():
-    device = puf.ro_new(8, 2)
-    with pytest.raises(ValueError):
-        puf.ro_eval(device, (3, 3))
+    bits = device.respond()
+    assert np.array_equal(bits, (device.frequencies[0::2] > device.frequencies[1::2]).astype(np.uint8))
+    swapped = puf.RoPuf(16, device.frequencies.reshape(-1, 2)[:, ::-1].ravel(), 0.0, 21)
+    assert np.array_equal(swapped.respond(), 1 - bits)
 
 
 def test_ro_flip_probability_matches_gaussian_form():
     device = puf.ro_new(4, 33)
     delta = abs(device.frequencies[0] - device.frequencies[1])
-    noisy = puf.RoPuf(4, device.frequencies, delta / 2.0, 33)
+    # 50_000 copies of pair (0, 1): two noisy reads give 100_000 comparisons
+    noisy = puf.RoPuf(100_000, np.tile(device.frequencies[:2], 50_000), delta / 2.0, 33)
     expected = 0.5 * math.erfc(delta / (2 * noisy.meas_sigma))
-    noiseless = puf.ro_eval(device, (0, 1))
-    rng = substream(6, "ro")
-    flips = sum(puf.ro_eval(noisy, (0, 1), rng) != noiseless for _ in range(100_000))
+    noiseless = device.respond()[0]
+    flips = np.count_nonzero(noisy.respond([None, None], rng=substream(6, "ro")) != noiseless)
     assert abs(flips / 100_000 - expected) < 0.005
 
 

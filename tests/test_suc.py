@@ -166,8 +166,8 @@ def test_params_validation():
         suc.SucParams(rounds=0)
     with pytest.raises(ValueError):
         suc.SucParams(permutation=tuple(range(63)) + (0,))
-    with pytest.raises(ValueError):
-        suc.SucParams(block_bits=32)
+    with pytest.raises(ValueError):  # the block is fixed at BLOCK_BITS
+        suc.SucParams(permutation=tuple(range(32)))
 
 
 def test_default_permutation_is_bijection():
@@ -192,7 +192,7 @@ def test_security_report_default_meets_targets():
 
 def test_security_report_insufficient_sampling():
     with pytest.raises(ValueError):
-        suc.security_report(suc.SucParams(), 999)
+        suc.security_report(suc.SucParams(), 999, substream(18, "sr"))
 
 
 def test_sbox_entropy_batches_agree():
