@@ -98,12 +98,12 @@ def structure_new(seed: int, n_bins: int = 256, smoothing: float = 0.0) -> Struc
     if not 0 <= smoothing < 1:
         raise ValueError("smoothing must be in [0, 1)")
     rng = substream(seed, "structure")
-    fresh = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-    response = np.empty(n_bins, dtype=complex)
-    response[0] = fresh[0]
+    fresh = (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)).tolist()
     carry = math.sqrt(1.0 - smoothing**2)
-    for i in range(1, n_bins):
-        response[i] = smoothing * response[i - 1] + carry * fresh[i]
+    values = [fresh[0]]
+    for x in fresh[1:]:
+        values.append(smoothing * values[-1] + carry * x)
+    response = np.array(values, dtype=complex)
     response.flags.writeable = False
     return StructureModel(response, int(seed))
 
@@ -169,10 +169,10 @@ def challenge_space_bits(spec: ChallengeSpaceSpec) -> float:
 
 def pairwise_distance_stats(bit_matrix: np.ndarray) -> tuple:
     """(mean, sample variance) of fractional Hamming distance over all device pairs."""
-    mat = np.asarray(bit_matrix, dtype=np.int64)
+    mat = np.asarray(bit_matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need a (devices, bits) matrix with >= 2 rows")
-    gram = mat @ mat.T
+    gram = mat @ mat.T  # BLAS; exact, as 0/1 entries keep every sum <= the bit count < 2^53
     ones = mat.sum(axis=1)
     dist = (ones[:, None] + ones[None, :] - 2 * gram) / mat.shape[1]
     iu = np.triu_indices(mat.shape[0], k=1)

@@ -26,7 +26,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default=None) -> int:
+    """--seed, else CLONEBENCH_SEED, else ``default``, else a fresh seed from OS entropy."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CLONEBENCH_SEED")
@@ -35,6 +36,8 @@ def _resolve_seed(args) -> int:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"CLONEBENCH_SEED is not an integer: {env!r}") from exc
+    if default is not None:
+        return default
     seed = fresh_seed()
     log.info("no seed given; drew %d from OS entropy (echoed in output)", seed)
     return seed
@@ -304,14 +307,14 @@ def cmd_attack_readout(args):
 
 # --------------------------------------------------------------------------- repro
 def cmd_repro(args):
-    seed = args.seed if args.seed is not None else repro.DEFAULT_SEED
+    seed = _resolve_seed(args, default=repro.DEFAULT_SEED)
     result = repro.run(args.name, seed)
     return result, EXIT_OK if result["passed"] else EXIT_REJECT
 
 
 # --------------------------------------------------------------------------- wiring
-def _add_common(sp, handler):
-    sp.add_argument("--seed", type=int, default=None, help="run seed (default: CLONEBENCH_SEED or OS entropy)")
+def _add_common(sp, handler, seed_fallback="OS entropy"):
+    sp.add_argument("--seed", type=int, default=None, help=f"run seed (default: CLONEBENCH_SEED or {seed_fallback})")
     sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
     sp.add_argument("--out", default=None, help="also write the JSON result to this path")
     sp.set_defaults(handler=handler, leaf=sp)
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("repro", help="named acceptance experiments")
     r.add_argument("name", choices=sorted(repro.EXPERIMENTS))
-    _add_common(r, cmd_repro)
+    _add_common(r, cmd_repro, seed_fallback=repro.DEFAULT_SEED)
 
     return parser
 

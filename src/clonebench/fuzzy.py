@@ -126,16 +126,15 @@ def majority_decode(coded: np.ndarray, params: RepetitionParams) -> np.ndarray:
 def toeplitz_hash(seed: BitString, data: BitString, out_len: int) -> BitString:
     """GF(2) Toeplitz matrix-vector product; out bit i = XOR_j data_j & seed_{i+n-1-j}.
 
-    Row i of the matrix is seed[i : i+n] reversed, so the product reduces to a
-    windowed dot with the reversed input (exact in float64: sums stay < 2^53).
+    Out bit i is the parity of the valid-mode convolution of seed with data at
+    i (exact in float64: sums stay < 2^53).
     """
     n = len(data)
     if out_len < 1:
         raise ValueError("out_len must be >= 1")
     if len(seed) != n + out_len - 1:
         raise ValueError(f"seed length {len(seed)} != {n + out_len - 1}")
-    windows = np.lib.stride_tricks.sliding_window_view(seed.bits, n)
-    acc = windows.astype(np.float64) @ data.bits[::-1].astype(np.float64)
+    acc = np.convolve(seed.bits.astype(np.float64), data.bits.astype(np.float64), "valid")
     return BitString((acc.astype(np.int64) & 1).astype(np.uint8))
 
 

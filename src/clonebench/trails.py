@@ -16,6 +16,7 @@ import heapq
 import numpy as np
 
 from . import kernels
+from .rng import WordReader
 
 _EXPANSION_CAP = 1 << 22
 
@@ -90,7 +91,10 @@ def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, r
     """Active-box totals of random concrete differential trails through real S-boxes.
 
     Round r draws each active nibble's output difference uniformly from the
-    nonzero b with DDT[a][b] > 0 of S-box r, listed in ascending order.
+    nonzero b with DDT[a][b] > 0 of S-box r, listed in ascending order.  The
+    draws replay ``rng.bytes`` and ``rng.integers`` word for word (see
+    ``WordReader``), so totals and the generator's later state match a
+    sampler that calls them directly.
     """
     arr = validate_permutation(perm)
     sboxes = np.asarray(sboxes, dtype=np.uint8)
@@ -100,22 +104,25 @@ def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, r
     compat = [[(np.flatnonzero(row[1:]) + 1).tolist() for row in table] for table in ddt]
     place = scatter_table(arr).tolist()
     n_bits = arr.size
-    n_nibbles = n_bits // 4
     totals = np.zeros(n_trails, dtype=np.int64)
-    for t in range(n_trails):
-        delta = 0
-        while delta == 0:
-            delta = int.from_bytes(rng.bytes(n_bits // 8), "big")
-        total = 0
-        for r in range(rounds):
-            out_delta = 0
-            for j in range(n_nibbles):
-                a = (delta >> (4 * j)) & 0xF
-                if a == 0:
-                    continue
-                total += 1
-                choices = compat[r][a]
-                out_delta |= place[j][choices[rng.integers(0, len(choices))]]
-            delta = out_delta
-        totals[t] = total
+    with WordReader(rng) as words:
+        below = words.below
+        for t in range(n_trails):
+            delta = 0
+            while delta == 0:
+                delta = int.from_bytes(words.bytes(n_bits // 8), "big")
+            total = 0
+            for compat_r in compat:
+                out_delta = 0
+                j = 0
+                while delta:
+                    a = delta & 0xF
+                    if a:
+                        total += 1
+                        choices = compat_r[a]
+                        out_delta |= place[j][choices[below(len(choices))]]
+                    delta >>= 4
+                    j += 1
+                delta = out_delta
+            totals[t] = total
     return totals

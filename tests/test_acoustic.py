@@ -38,6 +38,26 @@ def test_smoothing_correlates_neighbors():
     assert corr > 0.8
 
 
+def _structure_oracle(seed, n_bins, smoothing):
+    """The AR(1) recurrence run bin by bin on numpy complex scalars."""
+    rng = substream(seed, "structure")
+    fresh = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    response = np.empty(n_bins, dtype=complex)
+    response[0] = fresh[0]
+    carry = math.sqrt(1.0 - smoothing**2)
+    for i in range(1, n_bins):
+        response[i] = smoothing * response[i - 1] + carry * fresh[i]
+    return response
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.3, 0.5, 0.9, 0.999])
+def test_structure_matches_scalar_oracle_bytewise(smoothing):
+    for seed in range(40):
+        model = acoustic.structure_new(seed, 256, smoothing)
+        assert model.freq_response.tobytes() == _structure_oracle(seed, 256, smoothing).tobytes()
+        assert not model.freq_response.flags.writeable
+
+
 def test_two_seeds_give_distinct_responses():
     a = acoustic.structure_new(1).freq_response
     b = acoustic.structure_new(2).freq_response
@@ -156,6 +176,44 @@ def test_dof_iid_control():
     estimate = acoustic.dof_estimate(bits)
     assert abs(estimate.dof_bits - 256) <= 0.05 * 256
     assert not estimate.degenerate
+
+
+def _distance_stats_oracle(mat):
+    """Mean and sample variance of pairwise fractional Hamming distance from an int64 Gram matrix."""
+    mat = np.asarray(mat, dtype=np.int64)
+    gram = mat @ mat.T
+    ones = mat.sum(axis=1)
+    dist = (ones[:, None] + ones[None, :] - 2 * gram) / mat.shape[1]
+    values = dist[np.triu_indices(mat.shape[0], k=1)]
+    var = float(values.var(ddof=1)) if values.size > 1 else float("nan")
+    return float(values.mean()), var
+
+
+def _distance_cases():
+    rng = substream(18, "gram")
+    random = rng.integers(0, 2, (300, 256), dtype=np.uint8)
+    mixed = random[:50].copy()
+    mixed[3] = 0
+    mixed[7] = 1
+    mixed[11] = mixed[12] = mixed[20]
+    return {
+        "random": random,
+        "random-odd-width": rng.integers(0, 2, (97, 13), dtype=np.uint8),
+        "zero-one-duplicate-rows": mixed,
+        "all-zero": np.zeros((5, 64), dtype=np.uint8),
+        "all-one": np.ones((5, 64), dtype=np.uint8),
+        "two-rows": random[:2],
+        "two-equal-rows": np.ones((2, 8), dtype=np.uint8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_distance_cases()))
+def test_distance_stats_match_int64_gram_oracle(name):
+    mat = _distance_cases()[name]
+    got = acoustic.pairwise_distance_stats(mat)
+    want = _distance_stats_oracle(mat)
+    # equal to the bit, NaN (a single pair has no sample variance) included
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_dof_degenerate_population_flagged():

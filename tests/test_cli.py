@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from clonebench import cli
+from clonebench import cli, repro
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +215,18 @@ def test_env_seed_fallback(monkeypatch, capsys):
     assert doc["seed"] == 777
     _, explicit = run_cli(capsys, "puf", "simulate", "--model", "sram", "--cells", "64", "--seed", "777")
     assert out == explicit
+
+
+def test_repro_seed_falls_back_to_env_then_default(monkeypatch, capsys):
+    monkeypatch.setenv("CLONEBENCH_SEED", "5")
+    code, out = run_cli(capsys, "repro", "challenge-space")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    assert out == run_cli(capsys, "repro", "challenge-space", "--seed", "5")[1]
+    monkeypatch.delenv("CLONEBENCH_SEED")
+    code, out = run_cli(capsys, "repro", "challenge-space")
+    assert code == 0 and json.loads(out)["seed"] == repro.DEFAULT_SEED
+    code, help_text = run_cli(capsys, "repro", "--help")
+    assert code == 0 and "OS entropy" not in help_text and str(repro.DEFAULT_SEED) in help_text
 
 
 def test_unseeded_run_echoes_drawn_seed(capsys):

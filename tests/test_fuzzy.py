@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from clonebench import BitString, substream
@@ -154,6 +156,34 @@ def test_toeplitz_explicit_3x4_case():
     data = BitString([1, 1, 0, 1])
     # rows of the 3x4 matrix are seed[i], i+n-1-j: [1101], [0110], [1011]
     assert list(fuzzy.toeplitz_hash(seed, data, 3).bits) == [1, 1, 0]
+
+
+def _toeplitz_window_oracle(seed, data, out_len):
+    """Row i of the matrix is seed[i : i+n] reversed: a windowed dot with the reversed input."""
+    windows = np.lib.stride_tricks.sliding_window_view(seed.bits, len(data))
+    acc = windows.astype(np.int64) @ data.bits[::-1].astype(np.int64)
+    return BitString((acc & 1).astype(np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=2000),
+    out_len=st.integers(min_value=1, max_value=256),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_toeplitz_matches_window_oracle(n, out_len, seed):
+    rng = substream(seed, "toeplitz")
+    key_seed = BitString.random(n + out_len - 1, rng)
+    data = BitString.random(n, rng)
+    assert fuzzy.toeplitz_hash(key_seed, data, out_len) == _toeplitz_window_oracle(key_seed, data, out_len)
+
+
+def test_toeplitz_matches_window_oracle_at_extractor_size():
+    # the 14208-bit code of a 0.25-BER, 128-block design hashed to a 128-bit key
+    rng = substream(11, "toeplitz-large")
+    key_seed = BitString.random(14208 + 128 - 1, rng)
+    for data in (BitString.random(14208, rng), BitString(np.ones(14208, dtype=np.uint8))):
+        assert fuzzy.toeplitz_hash(key_seed, data, 128) == _toeplitz_window_oracle(key_seed, data, 128)
 
 
 def test_toeplitz_seed_length_checked():

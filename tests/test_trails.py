@@ -2,9 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import substream
 from clonebench import kernels, suc, trails
+from clonebench.rng import WordReader
 
 
 def test_single_round_needs_one_box():
@@ -128,12 +131,48 @@ def _sample_oracle(sboxes, perm, rounds, n_trails, rng):
     return totals
 
 
+def _assert_matches_oracle(sboxes, perm, rounds, n_trails, make_rng):
+    """Equal totals, and the generator left in the oracle's state with the same next draw."""
+    rng, oracle_rng = make_rng(), make_rng()
+    totals = trails.sample_trail_actives(sboxes, perm, rounds, n_trails, rng)
+    assert totals.tolist() == _sample_oracle(sboxes, perm, rounds, n_trails, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rng.random() == oracle_rng.random()
+
+
 @pytest.mark.parametrize("rounds, n_trails", [(1, 30), (10, 40), (40, 10)])
 def test_sampled_trail_totals_match_oracle(rounds, n_trails):
     sboxes = _trail_sboxes()
     for perm in _permutations()[::3]:  # the default and a random permutation
-        totals = trails.sample_trail_actives(sboxes, perm, rounds, n_trails, substream(35, "oracle"))
-        assert totals.tolist() == _sample_oracle(sboxes, perm, rounds, n_trails, substream(35, "oracle"))
+        _assert_matches_oracle(sboxes, perm, rounds, n_trails, lambda: substream(35, "oracle"))
+
+
+def test_sampler_entering_with_buffered_half_word_matches_oracle():
+    def make_rng():
+        rng = substream(36, "half-word")
+        rng.integers(0, 2**32, dtype=np.uint32)  # PCG64 keeps the other half of the 64-bit output
+        assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
+    _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, 10, 20, make_rng)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_sampler_across_read_ahead_chunks_matches_oracle(monkeypatch, chunk):
+    # 10 rounds x 20 trails use about 3000 words, so every chunk size here ends
+    # inside a bytes() draw and inside a Lemire redraw somewhere
+    monkeypatch.setattr(WordReader, "CHUNK", chunk)
+    _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, 10, 20, lambda: substream(37, "chunks"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    rounds=st.integers(min_value=1, max_value=8),
+    n_trails=st.integers(min_value=0, max_value=12),
+)
+def test_sampler_matches_oracle_for_any_seed(seed, rounds, n_trails):
+    _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, rounds, n_trails, lambda: substream(seed, "prop"))
 
 
 def test_ddt_compatible_outputs_nonempty():
