@@ -53,6 +53,8 @@ def _build_puf(args, seed):
     if model == "ro":
         return puf.ro_new(args.oscillators, seed, args.noise_sigma)
     if model == "sram":
+        if args.noise_sigma:
+            raise ValueError("--model sram takes its noise from calibrated anchors, not --noise-sigma")
         return puf.sram_new(args.cells, seed)
     raise ValueError(f"unknown model {model}")
 

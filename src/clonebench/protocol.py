@@ -17,7 +17,7 @@ from .bitstring import BitString
 from .errors import DataFormatError
 from .fuzzy import HelperData, fe_reproduce_detail
 from .jsonio import decoding, dumps_canonical, read_json, write_json
-from .suc import BLOCK_BITS, SucDevice, descriptor_secret_strings
+from .suc import BLOCK_BITS, KEY_BITS, SucDevice, descriptor_secret_strings
 
 FORWARD = "forward"
 INVERSE = "inverse"
@@ -34,19 +34,18 @@ POWER_UP_INDEX_BITS = 8
 
 @dataclass(frozen=True)
 class VerdictReport:
-    verdict: str  # "accept" | "reject"
+    """The outcome of one round: accepted exactly when the reason is a match."""
+
     reason: str
     entropy_bits: float | None = None
 
-    def __post_init__(self):
-        if self.verdict not in ("accept", "reject"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == "accept" and self.reason != REASON_MATCH:
-            raise ValueError("accept verdicts must carry reason 'match'")
-
     @property
     def accepted(self) -> bool:
-        return self.verdict == "accept"
+        return self.reason == REASON_MATCH
+
+    @property
+    def verdict(self) -> str:
+        return "accept" if self.accepted else "reject"
 
 
 @dataclass
@@ -200,17 +199,15 @@ def _run_exchange(store: CrpStore, channel: DeviceChannel, record: CrpRecord) ->
             reply = channel.inverse(record.response)
             expected = record.challenge
     except Exception:
-        return VerdictReport("reject", REASON_TAMPER)
-    if reply == expected:
-        return VerdictReport("accept", REASON_MATCH)
-    return VerdictReport("reject", REASON_MISMATCH)
+        return VerdictReport(REASON_TAMPER)
+    return VerdictReport(REASON_MATCH if reply == expected else REASON_MISMATCH)
 
 
 def identify(store: CrpStore, channel: DeviceChannel, device_id: str) -> VerdictReport:
     """One single-use identification round; consumes a record even on reject."""
     record = store.consume_next(device_id)
     if record is None:
-        return VerdictReport("reject", REASON_DEPLETED)
+        return VerdictReport(REASON_DEPLETED)
     return _run_exchange(store, channel, record)
 
 
@@ -220,9 +217,9 @@ def verify_challenge(
     """Identification pinned to a specific stored challenge; replays are refused."""
     record, already_used = store.consume_challenge(device_id, challenge)
     if record is None:
-        return VerdictReport("reject", REASON_DEPLETED)
+        return VerdictReport(REASON_DEPLETED)
     if already_used:
-        return VerdictReport("reject", REASON_REPLAY)
+        return VerdictReport(REASON_REPLAY)
     return _run_exchange(store, channel, record)
 
 
@@ -235,7 +232,7 @@ def combined_verify(
     tau: float,
     *,
     structural_dof_bits: float | None = None,
-    suc_key_bits: int = 80,
+    suc_key_bits: int = KEY_BITS,
 ) -> VerdictReport:
     """Joint mechatronic check: structural key reproduction AND cipher identification.
 
@@ -254,11 +251,8 @@ def combined_verify(
         reading = BitString(reading.bits[:code_len])
     reproduced = fe_reproduce_detail(reading, structural_helper)
     if reproduced is None or reproduced.corrected_fraction > tau:
-        return VerdictReport("reject", REASON_MISMATCH, entropy)
-    suc_verdict = identify(store, channel, device_id)
-    if not suc_verdict.accepted:
-        return VerdictReport("reject", suc_verdict.reason, entropy)
-    return VerdictReport("accept", REASON_MATCH, entropy)
+        return VerdictReport(REASON_MISMATCH, entropy)
+    return VerdictReport(identify(store, channel, device_id).reason, entropy)
 
 
 # --------------------------------------------------------------------------- persistence

@@ -65,36 +65,33 @@ def fe_correction_experiment(seed: int, trials: int = 1000) -> dict:
 def suc_bounds_experiment(seed: int, batch: int = 20_000, n_trails: int = 1000) -> dict:
     """Cipher-class cardinality and differential/linear trail complexity floors."""
     params = suc.SucParams()
-    ent_a = suc.sbox_entropy_bits(batch, _sub(seed, "sbox-a"), params)
+    report = suc.security_report(params, batch, _sub(seed, "sbox-a"))
     ent_b = suc.sbox_entropy_bits(batch, _sub(seed, "sbox-b"), params)
-    batch_gap = abs(ent_a.h_bits - ent_b.h_bits)
-    cardinality = params.key_bits + params.rounds * ent_a.h_bits
-    active = trails.min_active_sboxes(params.permutation, params.rounds)
-    diff_log2 = 2.0 * active
-    lin_log2 = 2.0 * active
+    batch_gap = abs(report.sbox_h_bits - ent_b.h_bits)
+    active = report.min_active_sboxes
     device = suc.personalize(params, _sub(seed, "trail-dev"), "trail-dev")
     totals = trails.sample_trail_actives(
         device._sboxes, params.permutation, params.rounds, n_trails, _sub(seed, "trails")
     )
     trail_ok = bool(np.all(totals >= active))
     passed = (
-        cardinality >= 274.0
+        report.cardinality_bits >= 274.0
         and batch_gap <= 0.5
         and active >= params.rounds
-        and diff_log2 >= 80.0
-        and lin_log2 >= 80.0
+        and report.diff_complexity_log2 >= 80.0
+        and report.lin_complexity_log2 >= 80.0
         and trail_ok
     )
     return {
         "name": "suc-bounds",
         "passed": passed,
-        "cardinality_bits": cardinality,
-        "h_sbox_batch_a": ent_a.h_bits,
+        "cardinality_bits": report.cardinality_bits,
+        "h_sbox_batch_a": report.sbox_h_bits,
         "h_sbox_batch_b": ent_b.h_bits,
         "batch_gap_bits": batch_gap,
         "min_active_sboxes": active,
-        "diff_complexity_log2": diff_log2,
-        "lin_complexity_log2": lin_log2,
+        "diff_complexity_log2": report.diff_complexity_log2,
+        "lin_complexity_log2": report.lin_complexity_log2,
         "sampled_trails": n_trails,
         "sampled_trail_min_active": int(totals.min()),
     }
@@ -166,7 +163,7 @@ def combined_entropy_experiment(seed: int) -> dict:
     verdict = protocol.combined_verify(
         store, helper, measured, channel, device.device_id, 0.25, structural_dof_bits=dof
     )
-    passed = verdict.accepted and verdict.entropy_bits == dof + 80.0
+    passed = verdict.accepted and verdict.entropy_bits == dof + suc.KEY_BITS
     return {
         "name": "combined-entropy",
         "passed": passed,

@@ -26,6 +26,12 @@ DEFAULT_PERMUTATION = tuple((16 * i) % 63 for i in range(63)) + (63,)
 #: the SPN's block width: 16 nibbles of 4 bits
 BLOCK_BITS = 64
 
+#: the master key width
+KEY_BITS = 80
+#: an accepted S-box has DDT entries and Walsh coefficients (nonzero masks) at most these
+SBOX_DDT_MAX = 4
+SBOX_WALSH_MAX = 8
+
 _KEY_ROTATION = 61  # coprime to 80, spreads every key bit across round keys
 _SBOX_BUDGET = 10**6
 _MASK64 = (1 << 64) - 1
@@ -34,20 +40,17 @@ _LOG2_16_FACTORIAL = math.log2(math.factorial(16))
 
 @dataclass(frozen=True)
 class SucParams:
+    """A member of the cipher class: ``rounds`` is the only field; the class attributes are fixed."""
+
     rounds: int = 40
-    key_bits: int = 80
-    sbox_ddt_max: int = 4
-    sbox_walsh_max: int = 8
-    permutation: tuple = DEFAULT_PERMUTATION
+    key_bits = KEY_BITS
+    sbox_ddt_max = SBOX_DDT_MAX
+    sbox_walsh_max = SBOX_WALSH_MAX
+    permutation = DEFAULT_PERMUTATION
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.key_bits < 64:
-            raise ValueError("key_bits must cover at least one round key")
-        perm = trails.validate_permutation(self.permutation)
-        if perm.size != BLOCK_BITS:
-            raise ValueError("permutation must act on 64 bit positions")
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,7 @@ class SecurityReport:
     min_active_sboxes: int
     diff_complexity_log2: float
     lin_complexity_log2: float
+    sbox_h_bits: float
     sbox_acceptance_rate: float
     sample_budget: int
 
@@ -111,16 +115,16 @@ def sbox_entropy_bits(sample_budget: int, rng, params: SucParams = SucParams()) 
 
 
 # --------------------------------------------------------------------------- key schedule
-def round_keys(master_key: int, rounds: int, key_bits: int = 80) -> np.ndarray:
+def round_keys(master_key: int, rounds: int) -> np.ndarray:
     """Rotate-extract schedule: top 64 bits of the key register, rotated between rounds."""
-    if master_key < 0 or master_key >> key_bits:
-        raise ValueError(f"master key does not fit in {key_bits} bits")
-    mask = (1 << key_bits) - 1
+    if master_key < 0 or master_key >> KEY_BITS:
+        raise ValueError(f"master key does not fit in {KEY_BITS} bits")
+    mask = (1 << KEY_BITS) - 1
     reg = master_key
     keys = np.zeros(rounds + 1, dtype=np.uint64)
     for r in range(rounds + 1):
-        keys[r] = (reg >> (key_bits - 64)) & _MASK64
-        reg = ((reg << _KEY_ROTATION) | (reg >> (key_bits - _KEY_ROTATION))) & mask
+        keys[r] = (reg >> (KEY_BITS - 64)) & _MASK64
+        reg = ((reg << _KEY_ROTATION) | (reg >> (KEY_BITS - _KEY_ROTATION))) & mask
     return keys
 
 
@@ -150,7 +154,7 @@ class SucDevice:
         place = trails.scatter_table(perm)
         inv_place = trails.scatter_table(np.argsort(perm))
         inv_sboxes = np.argsort(sboxes, axis=1)
-        keys = round_keys(self._master_key, params.rounds, params.key_bits)
+        keys = round_keys(self._master_key, params.rounds)
         # C order, so that each round's 256 entries are one run of memory for spn_block_rounds
         self._enc = np.ascontiguousarray(np.stack([place[:, sbox] for sbox in sboxes]))
         self._enc_keys = keys
@@ -215,8 +219,7 @@ def personalize(params: SucParams, trng, device_id: str) -> SucDevice:
     pinned seeds are for tests only.
     """
     sboxes = np.stack([generate_sbox(params, trng) for _ in range(params.rounds)])
-    master_key = int.from_bytes(trng.bytes(params.key_bits // 8), "big")
-    master_key &= (1 << params.key_bits) - 1
+    master_key = int.from_bytes(trng.bytes(KEY_BITS // 8), "big")
     return SucDevice(device_id, params, sboxes, master_key)
 
 
@@ -226,25 +229,40 @@ def security_report(params: SucParams, sample_budget: int, rng) -> SecurityRepor
 
     cardinality_bits counts the key plus per-round S-box choice entropy measured
     by Monte-Carlo acceptance sampling of ``sample_budget`` tables drawn from
-    ``rng``.  With A = minimum active S-boxes, the best differential trail has
-    probability <= (2^-2)^A and the best linear trail correlation <= 2^-A, so
-    both attacks need on the order of 2^(2A) data.
+    ``rng``.  With A = minimum active S-boxes, the wide-trail bound (Daemen &
+    Rijmen, The Design of Rijndael, 2002) puts the best differential trail at
+    probability <= (SBOX_DDT_MAX/16)^A and the best linear trail at correlation
+    <= (SBOX_WALSH_MAX/16)^A, so both attacks need on the order of 2^(2A) data.
     """
-    if sample_budget < 10**3:
-        raise ValueError("sample_budget must be >= 1000")
     entropy = sbox_entropy_bits(sample_budget, rng, params)
-    active = trails.min_active_sboxes(params.permutation, params.rounds)
+    active = trails.min_active_sboxes(DEFAULT_PERMUTATION, params.rounds)
     return SecurityReport(
-        cardinality_bits=params.key_bits + params.rounds * entropy.h_bits,
+        cardinality_bits=KEY_BITS + params.rounds * entropy.h_bits,
         min_active_sboxes=active,
-        diff_complexity_log2=2.0 * active,
-        lin_complexity_log2=2.0 * active,
+        diff_complexity_log2=math.log2(16 / SBOX_DDT_MAX) * active,
+        lin_complexity_log2=2 * math.log2(16 / SBOX_WALSH_MAX) * active,
+        sbox_h_bits=entropy.h_bits,
         sbox_acceptance_rate=entropy.acceptance_rate,
         sample_budget=sample_budget,
     )
 
 
 # --------------------------------------------------------------------------- persistence
+def _params_doc(rounds: int) -> dict:
+    """A device file's ``params``; every value but ``rounds`` is a class constant."""
+    return {
+        "rounds": rounds,
+        "key_bits": KEY_BITS,
+        "sbox_ddt_max": SBOX_DDT_MAX,
+        "sbox_walsh_max": SBOX_WALSH_MAX,
+        "permutation": list(DEFAULT_PERMUTATION),
+    }
+
+
+def _key_hex(dev: SucDevice) -> str:
+    return f"{dev._master_key:0{KEY_BITS // 4}x}"
+
+
 def save_device(dev: SucDevice, path) -> None:
     """Write the secret device file; keep it out of any authority-side store."""
     write_json(
@@ -252,13 +270,7 @@ def save_device(dev: SucDevice, path) -> None:
         {
             "kind": "suc_device",
             "device_id": dev.device_id,
-            "params": {
-                "rounds": dev.params.rounds,
-                "key_bits": dev.params.key_bits,
-                "sbox_ddt_max": dev.params.sbox_ddt_max,
-                "sbox_walsh_max": dev.params.sbox_walsh_max,
-                "permutation": list(dev.params.permutation),
-            },
+            "params": _params_doc(dev.params.rounds),
             "descriptor": descriptor_dict(dev),
         },
         secret=True,
@@ -266,15 +278,12 @@ def save_device(dev: SucDevice, path) -> None:
 
 
 def descriptor_dict(dev: SucDevice) -> dict:
-    return {
-        "sboxes": dev._sboxes.tolist(),
-        "master_key_hex": f"{dev._master_key:0{dev.params.key_bits // 4}x}",
-    }
+    return {"sboxes": dev._sboxes.tolist(), "master_key_hex": _key_hex(dev)}
 
 
 def descriptor_secret_strings(dev: SucDevice) -> list:
     """Substrings whose appearance in any authority-side artifact means a leak."""
-    secrets = [f"{dev._master_key:0{dev.params.key_bits // 4}x}"]
+    secrets = [_key_hex(dev)]
     secrets.extend(",".join(str(v) for v in row) for row in dev._sboxes.tolist())
     return secrets
 
@@ -284,14 +293,9 @@ def load_device(path) -> SucDevice:
     if doc.get("kind") != "suc_device":
         raise DataFormatError(f"{path}: not a SUC device file")
     with decoding(path):
-        p = doc["params"]
-        params = SucParams(
-            rounds=p["rounds"],
-            key_bits=p["key_bits"],
-            sbox_ddt_max=p["sbox_ddt_max"],
-            sbox_walsh_max=p["sbox_walsh_max"],
-            permutation=tuple(p["permutation"]),
-        )
+        params = SucParams(rounds=doc["params"]["rounds"])
+        if doc["params"] != _params_doc(params.rounds):
+            raise DataFormatError(f"{path}: params other than rounds differ from the cipher class")
         desc = doc["descriptor"]
         return SucDevice(
             doc["device_id"],

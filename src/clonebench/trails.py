@@ -97,6 +97,8 @@ def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, r
     sampler that calls them directly.
     """
     arr = validate_permutation(perm)
+    if arr.size % 8:  # starting differences are drawn as whole bytes
+        raise ValueError("permutation length must be a multiple of 8")
     sboxes = np.asarray(sboxes, dtype=np.uint8)
     if sboxes.shape[0] < rounds:
         raise ValueError("need one S-box table per round")

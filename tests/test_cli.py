@@ -35,6 +35,14 @@ def test_stdout_is_byte_identical_for_same_seed(capsys):
     assert third != first
 
 
+@pytest.mark.parametrize("verb", [["puf", "simulate"], ["puf", "metrics", "--devices", "3"]])
+def test_sram_refuses_noise_sigma(capsys, verb):
+    # SRAM noise comes only from its calibrated anchors
+    argv = verb + ["--model", "sram", "--cells", "64", "--seed", "5"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--noise-sigma", "0.3"]) == 2
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["puf", "simulate", "--model", "nonsense"]) == 2
     assert cli.main(["repro", "not-an-experiment"]) == 2
@@ -298,6 +306,17 @@ def test_malformed_device_file_exit_code(tmp_path, capsys):
     doc["descriptor"]["sboxes"][0] = [0] * 16
     bad_sbox = _write_doc(tmp_path / "bad-sbox.json", doc)
     assert cli.main(["suc", "encrypt", "--device", bad_sbox, "--block-hex", "00"]) == 3
+
+
+def test_device_file_with_other_cipher_class_exit_code(tmp_path, capsys):
+    dev = tmp_path / "dev.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "k", "--rounds", "4", "--seed", "75", "--device-out", str(dev))
+    block = ["--block-hex", "0123456789abcdef"]
+    assert cli.main(["suc", "encrypt", "--device", str(dev)] + block) == 0
+    doc = json.loads(dev.read_text())
+    doc["params"]["key_bits"] = 96
+    wide_key = _write_doc(tmp_path / "wide-key.json", doc)
+    assert cli.main(["suc", "encrypt", "--device", wide_key] + block) == 3
 
 
 def test_malformed_helper_file_exit_code(tmp_path, capsys):

@@ -191,8 +191,14 @@ def test_inverse_mode_identifies_by_decryption():
 
 
 def test_verdict_invariant():
-    with pytest.raises(ValueError):
-        protocol.VerdictReport("accept", protocol.REASON_MISMATCH)
+    # the verdict is derived from the reason: only a match is accepted
+    for reason in (
+        protocol.REASON_MATCH, protocol.REASON_MISMATCH, protocol.REASON_DEPLETED,
+        protocol.REASON_REPLAY, protocol.REASON_TAMPER,
+    ):
+        report = protocol.VerdictReport(reason)
+        assert report.verdict == ("accept" if reason == protocol.REASON_MATCH else "reject")
+        assert report.accepted == (report.verdict == "accept")
 
 
 # ----------------------------------------------------------------- tamper channel

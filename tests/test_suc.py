@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -164,10 +165,10 @@ def test_key_schedule_spreads_key_bits():
 def test_params_validation():
     with pytest.raises(ValueError):
         suc.SucParams(rounds=0)
-    with pytest.raises(ValueError):
-        suc.SucParams(permutation=tuple(range(63)) + (0,))
-    with pytest.raises(ValueError):  # the block is fixed at BLOCK_BITS
-        suc.SucParams(permutation=tuple(range(32)))
+    # the cipher class is fixed except for its round count
+    assert [f.name for f in dataclasses.fields(suc.SucParams)] == ["rounds"]
+    with pytest.raises(TypeError):
+        suc.SucParams(key_bits=84)
 
 
 def test_default_permutation_is_bijection():
@@ -239,6 +240,12 @@ def test_device_file_missing_or_ill_typed_fields(tmp_path):
         lambda d: d["descriptor"].update(master_key_hex=5),
         lambda d: d["descriptor"].update(sboxes=[[-1] * 16] * 4),
         lambda d: d["descriptor"]["sboxes"].__setitem__(2, [0] * 16),
+        # the cipher class is fixed except for its round count
+        lambda d: d["params"].update(key_bits=96),
+        lambda d: d["params"].update(sbox_ddt_max=6),
+        lambda d: d["params"].update(sbox_walsh_max=10),
+        lambda d: d["params"].update(permutation=list(range(64))),
+        lambda d: d["params"].update(extra=1),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)

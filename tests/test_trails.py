@@ -175,6 +175,13 @@ def test_sampler_matches_oracle_for_any_seed(seed, rounds, n_trails):
     _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, rounds, n_trails, lambda: substream(seed, "prop"))
 
 
+def test_sampler_needs_whole_bytes():
+    # starting differences are drawn as whole bytes, so nibble 2 of a 12-bit state would never start active
+    assert trails.min_active_sboxes(list(range(12)), 1) == 1
+    with pytest.raises(ValueError):
+        trails.sample_trail_actives(_trail_sboxes(), list(range(12)), 1, 10, substream(38, "short"))
+
+
 def test_ddt_compatible_outputs_nonempty():
     rng = substream(1, "ddt")
     table = rng.permutation(16).astype(np.uint8)
