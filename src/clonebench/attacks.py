@@ -7,7 +7,7 @@ full readout cloning, modeled here as copying the reference startup pattern.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,13 +68,7 @@ class AttackReport:
     accuracy: float
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "target": self.target,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "accuracy": self.accuracy,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def collect_crps(target, n: int, rng) -> CrpDataset:

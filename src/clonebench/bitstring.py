@@ -104,7 +104,7 @@ class BitString:
         return self.hamming(other) / len(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BitString) and np.array_equal(self._bits, other._bits)
+        return isinstance(other, BitString) and self._bits.tobytes() == other._bits.tobytes()
 
     def __hash__(self) -> int:
         return hash((self._bits.size, self._bits.tobytes()))

@@ -4,6 +4,8 @@ to stderr.  Exit codes: 0 success/Accept, 1 Reject or failed experiment,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import logging
 import os
@@ -26,8 +28,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _resolve_seed(args, default=None) -> int:
-    """--seed, else CLONEBENCH_SEED, else ``default``, else a fresh seed from OS entropy."""
+def _resolve_seed(args) -> int:
+    """--seed, else CLONEBENCH_SEED, else the verb's fallback, else a fresh seed from OS entropy."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CLONEBENCH_SEED")
@@ -36,8 +38,8 @@ def _resolve_seed(args, default=None) -> int:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"CLONEBENCH_SEED is not an integer: {env!r}") from exc
-    if default is not None:
-        return default
+    if args.seed_fallback is not None:
+        return args.seed_fallback
     seed = fresh_seed()
     log.info("no seed given; drew %d from OS entropy (echoed in output)", seed)
     return seed
@@ -66,16 +68,14 @@ def _puf_challenges(device, n, rng):
 
 
 def cmd_puf_simulate(args):
-    seed = _resolve_seed(args)
-    device = _build_puf(args, seed)
+    device = _build_puf(args, args.seed)
     env = EnvironmentConditions(args.temp, args.volt)
-    rng = substream(seed, "puf-simulate")
+    rng = substream(args.seed, "puf-simulate")
     challenges = _puf_challenges(device, args.challenges, rng)
     noisy = device.respond(challenges, env, rng)
     reference = device.respond(challenges)
     result = {
         "descriptor": device.descriptor(),
-        "seed": seed,
         "temperature_c": env.temperature_c,
         "voltage_v": env.voltage_v,
         "response_hex": BitString(noisy).to_hex(),
@@ -89,17 +89,13 @@ def cmd_puf_simulate(args):
 
 
 def cmd_puf_metrics(args):
-    seed = _resolve_seed(args)
-    rng = substream(seed, "puf-metrics")
+    rng = substream(args.seed, "puf-metrics")
     devices = []
     for i in range(args.devices):
-        dev_seed = int(substream(seed, "puf-metrics-device", i).integers(0, 2**63))
+        dev_seed = int(substream(args.seed, "puf-metrics-device", i).integers(0, 2**63))
         devices.append(_build_puf(args, dev_seed))
     challenges = _puf_challenges(devices[0], args.challenges, rng)
-    report = metrics.uniqueness(devices, challenges)
-    result = report.to_json()
-    result["seed"] = seed
-    return result, EXIT_OK
+    return metrics.uniqueness(devices, challenges).to_json(), EXIT_OK
 
 
 # --------------------------------------------------------------------------- fe
@@ -114,14 +110,13 @@ def cmd_fe_design(args):
 
 
 def cmd_fe_generate(args):
-    seed = _resolve_seed(args)
     params = fuzzy.RepetitionParams(args.n_rep, args.blocks)
     w = BitString.from_hex(args.input_hex, params.code_len)
-    key, helper = fuzzy.fe_generate(w, params, args.key_len, substream(seed, "fe-generate"))
+    key, helper = fuzzy.fe_generate(w, params, args.key_len, substream(args.seed, "fe-generate"))
     if args.helper_out:
         fuzzy.save_helper(helper, args.helper_out)
         log.info("helper data written to %s", args.helper_out)
-    return {"seed": seed, "key_hex": key.key.to_hex(), "key_len": args.key_len}, EXIT_OK
+    return {"key_hex": key.key.to_hex(), "key_len": args.key_len}, EXIT_OK
 
 
 def cmd_fe_reproduce(args):
@@ -135,14 +130,12 @@ def cmd_fe_reproduce(args):
 
 # --------------------------------------------------------------------------- suc
 def cmd_suc_personalize(args):
-    seed = _resolve_seed(args)
     params = suc.SucParams(rounds=args.rounds)
-    device = suc.personalize(params, substream(seed, "personalize"), args.device_id)
+    device = suc.personalize(params, substream(args.seed, "personalize"), args.device_id)
     result = {
         "device_id": device.device_id,
         "rounds": params.rounds,
         "key_bits": params.key_bits,
-        "seed": seed,
     }
     if args.device_out:
         suc.save_device(device, args.device_out)
@@ -154,11 +147,9 @@ def cmd_suc_personalize(args):
 
 
 def cmd_suc_analyze(args):
-    seed = _resolve_seed(args)
     params = suc.SucParams(rounds=args.rounds)
-    report = suc.security_report(params, args.samples, substream(seed, "suc-analyze"))
+    report = suc.security_report(params, args.samples, substream(args.seed, "suc-analyze"))
     return {
-        "seed": seed,
         "rounds": params.rounds,
         "cardinality_bits": report.cardinality_bits,
         "min_active_sboxes": report.min_active_sboxes,
@@ -177,15 +168,13 @@ def cmd_suc_encrypt(args):
 
 # --------------------------------------------------------------------------- acoustic
 def cmd_acoustic_fingerprint(args):
-    seed = _resolve_seed(args)
-    model = acoustic.structure_new(seed, args.bins, args.smoothing)
-    rng = None if args.noiseless else substream(seed, "acoustic-measure")
+    model = acoustic.structure_new(args.seed, args.bins, args.smoothing)
+    rng = None if args.noiseless else substream(args.seed, "acoustic-measure")
     fp = acoustic.fingerprint(model, EnvironmentConditions(args.temp, args.volt), rng)
     if args.fingerprint_out:
         acoustic.save_fingerprint(fp, args.fingerprint_out)
         log.info("fingerprint written to %s", args.fingerprint_out)
     return {
-        "seed": seed,
         "device_id": fp.device_id,
         "n_bins": len(fp.bits),
         "bits_hex": fp.bits.to_hex(),
@@ -193,14 +182,12 @@ def cmd_acoustic_fingerprint(args):
 
 
 def cmd_acoustic_entropy(args):
-    seed = _resolve_seed(args)
     fps = [
-        acoustic.fingerprint(acoustic.structure_new(int(substream(seed, "acoustic-pop", i).integers(0, 2**63)), args.bins, args.smoothing))
+        acoustic.fingerprint(acoustic.structure_new(int(substream(args.seed, "acoustic-pop", i).integers(0, 2**63)), args.bins, args.smoothing))
         for i in range(args.devices)
     ]
     estimate = acoustic.structural_entropy_estimate(fps)
     return {
-        "seed": seed,
         "n_devices": args.devices,
         "mean_hd": estimate.mean_hd,
         "dof_bits": estimate.dof_bits,
@@ -218,63 +205,69 @@ def cmd_acoustic_space(args):
 
 
 # --------------------------------------------------------------------------- protocol
+@contextlib.contextmanager
+def _store_lock(path):
+    """Hold an exclusive flock on ``<path>.lock``, so that processes sharing a store
+    run load -> change -> save one at a time and no consumed CRP is lost."""
+    with open(f"{path}.lock", "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
+
+
 def cmd_enroll(args):
-    seed = _resolve_seed(args)
     device = suc.load_device(args.device)
-    if os.path.exists(args.store):
-        store = protocol.load_store(args.store)
-        if store.mode != args.mode:
-            raise ValueError(f"{args.store} holds {store.mode} CRPs, not --mode {args.mode}")
-    else:
-        store = protocol.CrpStore(mode=args.mode)
-    stored = protocol.enroll(device, args.pairs, substream(seed, "enroll"), store)
-    protocol.save_store(store, args.store)
+    with _store_lock(args.store):
+        if os.path.exists(args.store):
+            store = protocol.load_store(args.store)
+            if store.mode != args.mode:
+                raise ValueError(f"{args.store} holds {store.mode} CRPs, not --mode {args.mode}")
+        else:
+            store = protocol.CrpStore(mode=args.mode)
+        stored = protocol.enroll(device, args.pairs, substream(args.seed, "enroll"), store)
+        protocol.save_store(store, args.store)
     log.info("stored %d CRPs for %s in %s", stored, device.device_id, args.store)
-    return {"seed": seed, "device_id": device.device_id, "stored": stored, "mode": store.mode}, EXIT_OK
+    return {"device_id": device.device_id, "stored": stored, "mode": store.mode}, EXIT_OK
 
 
-def _run_session(args, seed, exchange):
+def _run_session(args, exchange):
     """Load the device and store, run ``exchange(store, channel, device_id)`` over
     the channel the session flags ask for, and save the store."""
     device = suc.load_device(args.device)
-    store = protocol.load_store(args.store)
     if args.impostor:
-        agent = protocol.RandomAgent(substream(seed, "impostor"))
+        agent = protocol.RandomAgent(substream(args.seed, "impostor"))
     else:
         agent = protocol.SucAgent(device)
     channel = protocol.DeviceChannel(agent)
     if args.tamper_bits:
         positions = [int(p) for p in args.tamper_bits.split(",") if p != ""]
         channel = protocol.tamper_channel(channel, positions)
-    verdict = exchange(store, channel, device.device_id)
-    protocol.save_store(store, args.store)
+    with _store_lock(args.store):
+        store = protocol.load_store(args.store)
+        verdict = exchange(store, channel, device.device_id)
+        protocol.save_store(store, args.store)
     return verdict, device.device_id
 
 
 def cmd_identify(args):
-    seed = _resolve_seed(args)
-    verdict, device_id = _run_session(args, seed, protocol.identify)
+    verdict, device_id = _run_session(args, protocol.identify)
     result = {
         "verdict": verdict.verdict,
         "reason": verdict.reason,
         "device_id": device_id,
-        "seed": seed,
     }
     return result, EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
 def cmd_combined_verify(args):
-    seed = _resolve_seed(args)
     helper = fuzzy.load_helper(args.helper)
     fp = acoustic.load_fingerprint(args.fingerprint)
     verdict, _ = _run_session(
         args,
-        seed,
         lambda store, channel, device_id: protocol.combined_verify(
             store, helper, fp, channel, device_id, args.tau, structural_dof_bits=args.structural_dof
         ),
     )
-    result = {"verdict": verdict.verdict, "reason": verdict.reason, "seed": seed}
+    result = {"verdict": verdict.verdict, "reason": verdict.reason}
     if verdict.entropy_bits is not None:
         result["entropy_bits"] = verdict.entropy_bits
     return result, EXIT_OK if verdict.accepted else EXIT_REJECT
@@ -282,41 +275,38 @@ def cmd_combined_verify(args):
 
 # --------------------------------------------------------------------------- attacks
 def cmd_attack_model(args):
-    seed = _resolve_seed(args)
     if args.target == "arbiter":
-        target = puf.arbiter_new(args.stages, seed)
+        target = puf.arbiter_new(args.stages, args.seed)
     elif args.target == "xor":
-        target = puf.xor_arbiter_new(args.stages, args.k, seed)
+        target = puf.xor_arbiter_new(args.stages, args.k, args.seed)
     elif args.target == "suc":
-        device = suc.personalize(suc.SucParams(), substream(seed, "attack-target"), "attack-target")
+        device = suc.personalize(suc.SucParams(), substream(args.seed, "attack-target"), "attack-target")
         target = attacks.SucBitTarget(device)
     else:
         raise ValueError(f"unknown target {args.target}")
-    data = attacks.collect_crps(target, args.train, substream(seed, "attack-train"))
+    data = attacks.collect_crps(target, args.train, substream(args.seed, "attack-train"))
     model = attacks.train_model(data, args.epochs, args.lr)
-    report = attacks.eval_model(model, target, args.test, substream(seed, "attack-test"))
-    result = report.to_json()
-    result["seed"] = seed
-    return result, EXIT_OK
+    report = attacks.eval_model(model, target, args.test, substream(args.seed, "attack-test"))
+    return report.to_json(), EXIT_OK
 
 
 def cmd_attack_readout(args):
-    seed = _resolve_seed(args)
-    outcome = repro.readout_clone_experiment(seed, n_cells=args.cells)
-    outcome["seed"] = seed
-    return outcome, EXIT_OK
+    return repro.readout_clone_experiment(args.seed, n_cells=args.cells), EXIT_OK
 
 
 # --------------------------------------------------------------------------- repro
 def cmd_repro(args):
-    seed = _resolve_seed(args, default=repro.DEFAULT_SEED)
-    result = repro.run(args.name, seed)
+    result = repro.run(args.name, args.seed)
     return result, EXIT_OK if result["passed"] else EXIT_REJECT
 
 
 # --------------------------------------------------------------------------- wiring
-def _add_common(sp, handler, seed_fallback="OS entropy"):
-    sp.add_argument("--seed", type=int, default=None, help=f"run seed (default: CLONEBENCH_SEED or {seed_fallback})")
+def _add_common(sp, handler, draws=True, seed_fallback=None):
+    """The flags every verb takes, and --seed for the verbs that draw; main resolves and echoes the seed."""
+    if draws:
+        help_text = f"run seed (default: CLONEBENCH_SEED or {seed_fallback or 'OS entropy'})"
+        sp.add_argument("--seed", type=int, default=None, help=help_text)
+        sp.set_defaults(seed_fallback=seed_fallback)
     sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
     sp.add_argument("--out", default=None, help="also write the JSON result to this path")
     sp.set_defaults(handler=handler, leaf=sp)
@@ -366,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--ber", type=float, required=True)
     fd.add_argument("--fail-target", type=float, default=1e-6)
     fd.add_argument("--blocks", type=int, required=True)
-    _add_common(fd, cmd_fe_design)
+    _add_common(fd, cmd_fe_design, draws=False)
     fg = fe_sub.add_parser("generate")
     fg.add_argument("--input-hex", required=True)
     fg.add_argument("--n-rep", type=int, required=True)
@@ -377,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr = fe_sub.add_parser("reproduce")
     fr.add_argument("--input-hex", required=True)
     fr.add_argument("--helper", required=True)
-    _add_common(fr, cmd_fe_reproduce)
+    _add_common(fr, cmd_fe_reproduce, draws=False)
 
     s = sub.add_parser("suc", help="secret unknown cipher operations")
     suc_sub = s.add_subparsers(dest="action", required=True)
@@ -394,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     se = suc_sub.add_parser("encrypt")
     se.add_argument("--device", required=True)
     se.add_argument("--block-hex", required=True)
-    _add_common(se, cmd_suc_encrypt)
+    _add_common(se, cmd_suc_encrypt, draws=False)
 
     a = sub.add_parser("acoustic", help="structural identity pipeline")
     ac_sub = a.add_subparsers(dest="action", required=True)
@@ -414,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     asp.add_argument("--t", type=int, required=True)
     asp.add_argument("--k", type=int, required=True)
     asp.add_argument("--p", type=int, default=None)
-    _add_common(asp, cmd_acoustic_space)
+    _add_common(asp, cmd_acoustic_space, draws=False)
 
     e = sub.add_parser("enroll", help="bank single-use CRPs with the trusted authority")
     e.add_argument("--device", required=True)
@@ -508,6 +498,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         args = _apply_config(parser, argv, args)
+        if "seed" in args:
+            args.seed = _resolve_seed(args)
         result, code = args.handler(args)
     except DataFormatError as exc:
         log.error("data error: %s", exc)
@@ -515,6 +507,8 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         log.error("usage error: %s", exc)
         return EXIT_USAGE
+    if "seed" in args:
+        result["seed"] = args.seed
     line = dumps_canonical(result)
     print(line)
     if getattr(args, "out", None):

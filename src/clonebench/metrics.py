@@ -1,7 +1,7 @@
 """Population-level PUF quality metrics: uniqueness, reliability, uniformity."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,15 +19,7 @@ class PopulationReport:
     dof_bits: float
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "n_devices": self.n_devices,
-            "uniqueness_mean": self.uniqueness_mean,
-            "uniqueness_std": self.uniqueness_std,
-            "uniformity": self.uniformity,
-            "dof_bits": self.dof_bits,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 @dataclass(frozen=True)

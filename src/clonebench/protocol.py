@@ -292,7 +292,8 @@ def _store_doc(store: CrpStore) -> dict:
 
 
 def save_store(store: CrpStore, path) -> None:
-    write_json(path, _store_doc(store))
+    """Write the store 0600: its unused responses are all an impostor needs."""
+    write_json(path, _store_doc(store), secret=True)
 
 
 def load_store(path) -> CrpStore:

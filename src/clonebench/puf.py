@@ -328,7 +328,8 @@ def device_from_descriptor(doc: dict):
 
 
 def save_puf(dev, path) -> None:
-    write_json(path, dev.descriptor())
+    """Write the descriptor 0600: its seed rebuilds the device, so it is clone material."""
+    write_json(path, dev.descriptor(), secret=True)
 
 
 def load_puf(path):

@@ -23,8 +23,9 @@ def _sub(seed, *path):
     return substream(seed, "repro", *path)
 
 
-def sram_ber_experiment(seed: int, n_cells: int = 100_000) -> dict:
+def sram_ber_experiment(seed: int) -> dict:
     """Calibrated SRAM bit-error rates at the three temperature anchors."""
+    n_cells = 100_000
     device = puf.sram_new(n_cells, int(_sub(seed, "sram").integers(0, 2**63)))
     reference = puf.sram_reference(device).bits
     rows = []
@@ -39,8 +40,9 @@ def sram_ber_experiment(seed: int, n_cells: int = 100_000) -> dict:
     return {"name": "sram-ber", "passed": passed, "cells": n_cells, "rows": rows}
 
 
-def fe_correction_experiment(seed: int, trials: int = 1000) -> dict:
+def fe_correction_experiment(seed: int) -> dict:
     """Key recovery under i.i.d. 25% bit flips with parameters designed for that rate."""
+    trials = 1000
     params = fuzzy.design_repetition(0.25, 1e-6, 128)
     rng = _sub(seed, "fe")
     w = BitString.random(params.code_len, rng)
@@ -62,9 +64,10 @@ def fe_correction_experiment(seed: int, trials: int = 1000) -> dict:
     }
 
 
-def suc_bounds_experiment(seed: int, batch: int = 20_000, n_trails: int = 1000) -> dict:
+def suc_bounds_experiment(seed: int) -> dict:
     """Cipher-class cardinality and differential/linear trail complexity floors."""
     params = suc.SucParams()
+    batch, n_trails = 20_000, 1000
     report = suc.security_report(params, batch, _sub(seed, "sbox-a"))
     ent_b = suc.sbox_entropy_bits(batch, _sub(seed, "sbox-b"), params)
     batch_gap = abs(report.sbox_h_bits - ent_b.h_bits)
@@ -117,17 +120,17 @@ def challenge_space_experiment(seed: int) -> dict:
     }
 
 
-def _population_fingerprints(seed, n_devices, n_bins=256, smoothing=0.0):
+def _population_fingerprints(seed, n_devices):
     fps = []
     for i in range(n_devices):
         dev_seed = int(_sub(seed, "structure-pop", i).integers(0, 2**63))
-        model = acoustic.structure_new(dev_seed, n_bins, smoothing)
-        fps.append(acoustic.fingerprint(model))
+        fps.append(acoustic.fingerprint(acoustic.structure_new(dev_seed)))
     return fps
 
 
-def structural_entropy_experiment(seed: int, n_devices: int = 1000) -> dict:
+def structural_entropy_experiment(seed: int) -> dict:
     """Degrees-of-freedom entropy of a synthetic structure population plus an i.i.d. control."""
+    n_devices = 1000
     fps = _population_fingerprints(seed, n_devices)
     estimate = acoustic.structural_entropy_estimate(fps)
     control_bits = _sub(seed, "control").integers(0, 2, (n_devices, 256), dtype=np.uint8)
@@ -173,8 +176,9 @@ def combined_entropy_experiment(seed: int) -> dict:
     }
 
 
-def protocol_experiment(seed: int, genuine_trials: int = 1000, impostor_trials: int = 100_000) -> dict:
+def protocol_experiment(seed: int) -> dict:
     """Completeness, soundness against a random responder, and replay rejection."""
+    genuine_trials, impostor_trials = 1000, 100_000
     device = suc.personalize(suc.SucParams(), _sub(seed, "protocol-dev"), "ecu-1")
     genuine_channel = protocol.DeviceChannel(protocol.SucAgent(device))
 
@@ -213,10 +217,9 @@ def protocol_experiment(seed: int, genuine_trials: int = 1000, impostor_trials: 
     }
 
 
-def attack_asymmetry_experiment(
-    seed: int, arbiter_train: int = 5000, suc_train: int = 100_000
-) -> dict:
+def attack_asymmetry_experiment(seed: int) -> dict:
     """Modeling attack breaks the arbiter but stays at chance against the cipher bit."""
+    arbiter_train, suc_train = 5000, 100_000
     arbiter = puf.arbiter_new(64, int(_sub(seed, "asym-arb").integers(0, 2**63)))
     data = attacks.collect_crps(arbiter, arbiter_train, _sub(seed, "asym-arb-train"))
     arb_model = attacks.train_model(data)
@@ -239,8 +242,9 @@ def attack_asymmetry_experiment(
     }
 
 
-def readout_clone_experiment(seed: int, n_cells: int | None = None, trials: int = 500) -> dict:
+def readout_clone_experiment(seed: int, n_cells: int | None = None) -> dict:
     """Full-readout SRAM clone passes fingerprint authentication; the cipher offers no readout."""
+    trials = 500
     params = fuzzy.design_repetition(0.06, 1e-3, 32)
     n_cells = params.code_len if n_cells is None else n_cells
     if n_cells != params.code_len:
@@ -377,9 +381,7 @@ EXPERIMENTS = {
 }
 
 
-def run(name: str, seed: int = DEFAULT_SEED) -> dict:
+def run(name: str, seed: int) -> dict:
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    result = EXPERIMENTS[name](seed)
-    result["seed"] = seed
-    return result
+    return EXPERIMENTS[name](seed)

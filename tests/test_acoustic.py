@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import BitString, substream
 from clonebench import acoustic
@@ -246,6 +248,24 @@ def test_fingerprint_roundtrip(tmp_path):
     loaded = acoustic.load_fingerprint(path)
     assert loaded.bits == fp.bits
     assert np.allclose(loaded.thresholds, fp.thresholds)
+    assert loaded.device_id == fp.device_id
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_bins=st.integers(32, 300),
+    smoothing=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**63 - 1),
+    noisy=st.booleans(),
+)
+def test_fingerprint_roundtrip_property(tmp_path_factory, n_bins, smoothing, seed, noisy):
+    model = acoustic.structure_new(seed, n_bins, smoothing)
+    fp = acoustic.fingerprint(model, rng=substream(seed, "measure") if noisy else None)
+    path = tmp_path_factory.mktemp("fp") / "fp.json"
+    acoustic.save_fingerprint(fp, path)
+    loaded = acoustic.load_fingerprint(path)
+    assert loaded.bits == fp.bits
+    assert np.array_equal(loaded.thresholds, fp.thresholds)
     assert loaded.device_id == fp.device_id
 
 

@@ -123,6 +123,18 @@ def test_immutability():
         bs.bits[0] = 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.integers(0, 1), min_size=1, max_size=130),
+    b=st.lists(st.integers(0, 1), min_size=1, max_size=130),
+    same=st.booleans(),
+)
+def test_eq_agrees_with_array_equal_property(a, b, same):
+    x, y = BitString(a), BitString(list(a) if same else b)
+    assert (x == y) == np.array_equal(x.bits, y.bits)
+    assert (y == x) == (x == y)
+
+
 def test_hashable_and_eq():
     a = BitString([1, 0, 1])
     assert a in {BitString([1, 0, 1])}

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -235,6 +237,55 @@ def test_repro_seed_falls_back_to_env_then_default(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["seed"] == repro.DEFAULT_SEED
     code, help_text = run_cli(capsys, "repro", "--help")
     assert code == 0 and "OS entropy" not in help_text and str(repro.DEFAULT_SEED) in help_text
+
+
+DRAWLESS_VERBS = [
+    ["fe", "design", "--ber", "0.1", "--blocks", "8"],
+    ["fe", "reproduce", "--input-hex", "abcdef", "--helper", "helper.json"],
+    ["suc", "encrypt", "--device", "dev.json", "--block-hex", "00"],
+    ["acoustic", "space", "--t", "32", "--k", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", DRAWLESS_VERBS, ids=[" ".join(v[:2]) for v in DRAWLESS_VERBS])
+def test_verbs_that_draw_nothing_refuse_a_seed(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--seed", "1"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_config_seed_is_resolved_and_echoed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    argv = ["puf", "simulate", "--model", "sram", "--cells", "64"]
+    _, configured = run_cli(capsys, *argv, "--config", str(cfg))
+    assert json.loads(configured)["seed"] == 9
+    assert configured == run_cli(capsys, *argv, "--seed", "9")[1]
+
+
+def test_concurrent_identify_runs_consume_each_record_once(tmp_path, capsys):
+    dev = tmp_path / "dev.json"
+    store = tmp_path / "store.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "lk", "--rounds", "4", "--seed", "90", "--device-out", str(dev))
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "50", "--store", str(store), "--seed", "91")
+    workers, rounds = 4, 10
+    argv = ["identify", "--device", str(dev), "--store", str(store), "--seed", "92"]
+    script = f"import sys\nfrom clonebench import cli\nsys.exit(max(cli.main({argv!r}) for _ in range({rounds})))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        for _ in range(workers)
+    ]
+    try:
+        codes = [p.wait(timeout=300) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert codes == [0] * workers  # every round accepted, none depleted
+    records = json.loads(store.read_text())["records"]
+    assert sum(r["used"] for r in records) == workers * rounds  # a lost update would reuse a CRP
 
 
 def test_unseeded_run_echoes_drawn_seed(capsys):

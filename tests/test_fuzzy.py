@@ -211,6 +211,22 @@ def test_entropy_accounting():
 
 
 # ----------------------------------------------------------------- persistence
+@settings(max_examples=50, deadline=None)
+@given(
+    n_rep=st.integers(0, 6).map(lambda i: 2 * i + 1),
+    n_blocks=st.integers(1, 40),
+    key_len=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_helper_roundtrip_property(tmp_path_factory, n_rep, n_blocks, key_len, seed):
+    _, w, key, helper = _setup(n_rep, n_blocks, key_len, seed)
+    path = tmp_path_factory.mktemp("helper") / "helper.json"
+    fuzzy.save_helper(helper, path)
+    loaded = fuzzy.load_helper(path)
+    assert loaded == helper
+    assert fuzzy.fe_reproduce(w, loaded).key == key.key
+
+
 def test_helper_roundtrip(tmp_path):
     _, w, key, helper = _setup(n_rep=3, n_blocks=5, key_len=16)
     path = tmp_path / "helper.json"

@@ -1,9 +1,12 @@
 import json
 import os
+import stat
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import BitString, substream
 from clonebench import acoustic, fuzzy, protocol, suc
@@ -76,6 +79,43 @@ def test_store_file_roundtrips_byte_identically(tmp_path):
     protocol.save_store(store, p1)
     protocol.save_store(protocol.load_store(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def _stores(draw):
+    store = protocol.CrpStore(mode=draw(st.sampled_from([protocol.FORWARD, protocol.INVERSE])))
+    ids = draw(st.lists(st.text("abcdef-0123", min_size=1, max_size=6), min_size=1, max_size=3, unique=True))
+    for device_id in ids:
+        c_bits, r_bits = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+        row = st.tuples(st.integers(0, 2**c_bits - 1), st.integers(0, 2**r_bits - 1), st.booleans())
+        store.records[device_id] = [
+            protocol.CrpRecord(BitString.from_int(c, c_bits), BitString.from_int(r, r_bits), used)
+            for c, r, used in draw(st.lists(row, max_size=6))
+        ]
+    return store
+
+
+@settings(max_examples=100, deadline=None)
+@given(store=_stores())
+def test_store_roundtrip_property(tmp_path_factory, store):
+    # one device uses the flat layout, several the nested one
+    path = tmp_path_factory.mktemp("store") / "store.json"
+    protocol.save_store(store, path)
+    assert protocol.load_store(path) == store
+
+
+def test_store_file_is_private_and_stays_private(tmp_path):
+    store = _enrolled(_device(), 3)
+    path = tmp_path / "store.json"
+    old_umask = os.umask(0o022)
+    try:
+        protocol.save_store(store, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        path.chmod(0o644)  # a store written before stores were private
+        protocol.save_store(store, path)
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_store_flat_schema_fields(tmp_path):

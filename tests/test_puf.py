@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -281,6 +283,17 @@ def test_descriptor_roundtrip(tmp_path_factory, model, size, k, seed, sigma, dra
             loaded.respond(challenges, env, substream(draw_seed, "n")),
             device.respond(challenges, env, substream(draw_seed, "n")),
         )
+
+
+def test_descriptor_file_is_private(tmp_path):
+    # the descriptor's seed rebuilds the device, so the file is clone material
+    path = tmp_path / "dev.json"
+    old_umask = os.umask(0o022)
+    try:
+        puf.save_puf(puf.sram_new(64, 3), path)
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_load_puf_missing_fields_raise_data_format_error(tmp_path):
