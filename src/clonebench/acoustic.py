@@ -19,7 +19,7 @@ from .jsonio import decoding, read_json, write_json
 from .rng import substream
 
 #: |H| is Rayleigh(1) under the unit-normal re/im draw, so the population
-#: median magnitude is sqrt(2 ln 2); used as the default public threshold
+#: median magnitude is sqrt(2 ln 2); every fingerprint bit is thresholded there
 RAYLEIGH_MEDIAN = math.sqrt(2.0 * math.log(2.0))
 
 #: occupancy-aware size is C(k,p) slot patterns times t^p frequency choices;
@@ -131,36 +131,14 @@ def stimulate(model: StructureModel, train: WaveTrain, env=NOMINAL, rng=None) ->
     return _measure(model.freq_response[wave_train_bins(train, model.n_bins)], env, rng)
 
 
-def default_thresholds(n_bins: int) -> np.ndarray:
-    return np.full(n_bins, RAYLEIGH_MEDIAN)
-
-
-def reference_thresholds(n_bins: int, n_devices: int, rng) -> np.ndarray:
-    """Per-bin magnitude medians over a sampled reference population (enrollment helper)."""
-    mags = np.abs(
-        rng.standard_normal((n_devices, n_bins)) + 1j * rng.standard_normal((n_devices, n_bins))
-    )
-    return np.median(mags, axis=0)
-
-
-def fingerprint(model: StructureModel, env=NOMINAL, rng=None, thresholds=None) -> Fingerprint:
-    """Threshold the full-grid magnitude response into identity bits."""
-    thresholds = default_thresholds(model.n_bins) if thresholds is None else np.asarray(thresholds)
-    if thresholds.size != model.n_bins:
-        raise ValueError("threshold vector length != n_bins")
+def fingerprint(model: StructureModel, env=NOMINAL, rng=None) -> Fingerprint:
+    """Threshold the full-grid magnitude response at RAYLEIGH_MEDIAN into identity bits."""
     measured = _measure(model.freq_response, env, rng)
-    bits = BitString((np.abs(measured) > thresholds).astype(np.uint8))
-    return Fingerprint(bits, thresholds, device_id=f"structure-{model.seed}")
+    bits = BitString((np.abs(measured) > RAYLEIGH_MEDIAN).astype(np.uint8))
+    return Fingerprint(bits, np.full(model.n_bins, RAYLEIGH_MEDIAN), device_id=f"structure-{model.seed}")
 
 
 # --------------------------------------------------------------------------- entropy
-def challenge_space_size(spec: ChallengeSpaceSpec) -> int:
-    """Exact challenge count: t^k, or C(k,p) * t^p under sparse occupancy."""
-    if spec.p is None:
-        return spec.t**spec.k
-    return math.comb(spec.k, spec.p) * spec.t**spec.p
-
-
 def challenge_space_bits(spec: ChallengeSpaceSpec) -> float:
     if spec.p is None:
         return spec.k * math.log2(spec.t)
@@ -216,12 +194,3 @@ def load_fingerprint(path) -> Fingerprint:
         bits = BitString.from_hex(doc["bits_hex"], doc["n_bins"])
         return Fingerprint(bits, np.asarray(doc["thresholds"], dtype=float), doc.get("device_id", ""))
 
-
-def save_wave_train(train: WaveTrain, path) -> None:
-    write_json(path, {"t": train.t, "k": train.k, "slots": list(train.slots)})
-
-
-def load_wave_train(path) -> WaveTrain:
-    doc = read_json(path)
-    with decoding(path):
-        return WaveTrain(tuple(doc["slots"]), doc["t"], doc["k"])

@@ -25,10 +25,6 @@ class BitString:
 
     # ------------------------------------------------------------- constructors
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitString":
         return cls(rng.integers(0, 2, n, dtype=np.uint8))
 
@@ -67,9 +63,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self._bits.size
-
-    def __getitem__(self, idx) -> int:
-        return int(self._bits[idx])
 
     def __iter__(self):
         return iter(int(b) for b in self._bits)

@@ -229,9 +229,36 @@ def cmd_enroll(args):
     return {"device_id": device.device_id, "stored": stored, "mode": store.mode}, EXIT_OK
 
 
+class _BurnFirstChannel:
+    """Channel that writes the store, with the record just burned, before the device
+    sees the challenge, so that a crash mid-exchange cannot hand the record out again."""
+
+    def __init__(self, channel, store, path):
+        self._channel = channel
+        self._store = store
+        self._path = path
+        self.save_error = None
+
+    def _burn(self):
+        try:
+            protocol.save_store(self._store, self._path)
+        except Exception as exc:
+            self.save_error = exc  # the exchange reports it as tamper; the session re-raises it
+            raise
+
+    def forward(self, challenge):
+        self._burn()
+        return self._channel.forward(challenge)
+
+    def inverse(self, ciphertext):
+        self._burn()
+        return self._channel.inverse(ciphertext)
+
+
 def _run_session(args, exchange):
-    """Load the device and store, run ``exchange(store, channel, device_id)`` over
-    the channel the session flags ask for, and save the store."""
+    """Load the device and store and run ``exchange(store, channel, device_id)`` over
+    the channel the session flags ask for; a consumed record is on disk before the
+    device answers."""
     device = suc.load_device(args.device)
     if args.impostor:
         agent = protocol.RandomAgent(substream(args.seed, "impostor"))
@@ -243,8 +270,13 @@ def _run_session(args, exchange):
         channel = protocol.tamper_channel(channel, positions)
     with _store_lock(args.store):
         store = protocol.load_store(args.store)
-        verdict = exchange(store, channel, device.device_id)
-        protocol.save_store(store, args.store)
+        for rec in store.records.get(device.device_id, []):
+            if len(rec.challenge) != suc.BLOCK_BITS or len(rec.response) != suc.BLOCK_BITS:
+                raise DataFormatError(f"{args.store}: a CRP of {device.device_id} is not {suc.BLOCK_BITS} bits wide")
+        burning = _BurnFirstChannel(channel, store, args.store)
+        verdict = exchange(store, burning, device.device_id)
+    if burning.save_error is not None:
+        raise burning.save_error
     return verdict, device.device_id
 
 

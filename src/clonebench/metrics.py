@@ -1,4 +1,4 @@
-"""Population-level PUF quality metrics: uniqueness, reliability, uniformity."""
+"""Population-level PUF quality metrics: the uniqueness report."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
@@ -22,26 +22,6 @@ class PopulationReport:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-@dataclass(frozen=True)
-class ReliabilityTable:
-    model: str
-    rows: tuple  # ((temperature_c, voltage_v, ber), ...)
-
-    def __post_init__(self):
-        for _, _, ber in self.rows:
-            if not 0 <= ber <= 0.5:
-                raise ValueError("BER outside [0, 0.5]")
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "rows": [
-                {"temperature_c": t, "voltage_v": v, "ber": b} for t, v, b in self.rows
-            ],
-        }
-
-
 def uniqueness(population, challenges=None) -> PopulationReport:
     """Pairwise fractional Hamming statistics of zero-noise responses across devices.
 
@@ -63,28 +43,3 @@ def uniqueness(population, challenges=None) -> PopulationReport:
         dof_bits=estimate.dof_bits,
     )
 
-
-def reliability(device, env_grid, reps: int, rng, challenges=None) -> ReliabilityTable:
-    """BER against the zero-noise nominal reference, per environment grid point."""
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
-    reference = device.respond(challenges)
-    rows = []
-    for env in env_grid:
-        errors = 0
-        for _ in range(reps):
-            errors += int(np.count_nonzero(device.respond(challenges, env, rng) != reference))
-        rows.append((env.temperature_c, env.voltage_v, errors / (reps * reference.size)))
-    return ReliabilityTable(device.name, tuple(rows))
-
-
-def uniformity(responses) -> float:
-    """Fraction of 1-bits over all given responses."""
-    if isinstance(responses, np.ndarray):
-        if responses.size < 1:
-            raise ValueError("need at least one response bit")
-        return float(responses.mean())
-    if len(responses) < 1:
-        raise ValueError("need at least one response")
-    bits = np.concatenate([np.asarray(r) for r in responses])
-    return float(bits.mean())

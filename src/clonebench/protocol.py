@@ -1,9 +1,12 @@
 """Enrollment and challenge-response identification against a trusted-authority store.
 
-CRPs are strictly single-use: a record is atomically marked consumed before any
-verdict is released, so a crash or a concurrent session can never replay it.
-The device side sits behind an in-process channel object into which bit-flip
-faults can be injected; the store itself never sees cipher internals.
+CRPs are strictly single-use: a record is atomically marked consumed before its
+challenge goes to the channel, so a concurrent session can never replay it.
+Surviving a crash is up to whoever persists the store: the CLI session writes
+the store with the burned record to disk before the device answers, and
+in-memory callers own their persistence.  The device side sits behind an
+in-process channel object into which bit-flip faults can be injected; the store
+itself never sees cipher internals.
 """
 from __future__ import annotations
 

@@ -142,7 +142,7 @@ def test_suc_target_bit_extraction():
     challenges = substream(31, "c").integers(0, 2, (50, 64), dtype=np.uint8)
     got = target.respond(challenges)
     want = np.array(
-        [device.encrypt(BitString(c))[attacks.SUC_TARGET_BIT] for c in challenges], np.uint8
+        [device.encrypt(BitString(c)).bits[attacks.SUC_TARGET_BIT] for c in challenges], np.uint8
     )
     assert np.array_equal(got, want)
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from clonebench import cli, repro
+from clonebench import cli, protocol, repro
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +286,59 @@ def test_concurrent_identify_runs_consume_each_record_once(tmp_path, capsys):
     assert codes == [0] * workers  # every round accepted, none depleted
     records = json.loads(store.read_text())["records"]
     assert sum(r["used"] for r in records) == workers * rounds  # a lost update would reuse a CRP
+
+
+def _enrolled(tmp_path, capsys, pairs=3):
+    dev = tmp_path / "dev.json"
+    store = tmp_path / "store.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "bn", "--rounds", "4", "--seed", "93", "--device-out", str(dev))
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", str(pairs), "--store", str(store), "--seed", "94")
+    return dev, store
+
+
+def test_identify_burns_the_record_on_disk_before_the_device_answers(tmp_path, capsys):
+    dev, store = _enrolled(tmp_path, capsys)
+    argv = ["identify", "--device", str(dev), "--store", str(store), "--seed", "95"]
+    # the process dies while the device holds the challenge, before any verdict
+    script = (
+        "import os\nfrom clonebench import cli, protocol\n"
+        "protocol.SucAgent.forward = lambda self, challenge: os._exit(9)\n"
+        f"cli.main({argv!r})"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 9 and proc.stdout == b""
+    records = json.loads(store.read_text())["records"]
+    assert [r["used"] for r in records] == [True, False, False]  # the seen challenge is never handed out again
+
+
+def test_identify_store_write_failure_exits_2_before_the_device_answers(tmp_path, capsys, monkeypatch):
+    dev, store = _enrolled(tmp_path, capsys)
+    before = store.read_bytes()
+    seen = []
+
+    def refuse(store, path):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(protocol, "save_store", refuse)
+    monkeypatch.setattr(protocol.SucAgent, "forward", lambda self, challenge: seen.append(challenge))
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "96")
+    assert (code, out) == (2, "")  # no tamper verdict for a local write failure
+    assert seen == []
+    assert store.read_bytes() == before
+
+
+def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys):
+    dev, store = _enrolled(tmp_path, capsys)
+    doc = json.loads(store.read_text())
+    doc["c_bits"] = 60
+    for rec in doc["records"]:
+        rec["c_hex"] = rec["c_hex"][:15]
+    store.write_text(json.dumps(doc))
+    before = store.read_bytes()
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "97")
+    assert (code, out) == (3, "")
+    assert store.read_bytes() == before  # nothing burned
 
 
 def test_unseeded_run_echoes_drawn_seed(capsys):

@@ -68,7 +68,7 @@ def test_generate_reproduce_roundtrip():
 def test_generate_length_checked():
     params = fuzzy.RepetitionParams(3, 4)
     with pytest.raises(ValueError):
-        fuzzy.fe_generate(BitString.zeros(11), params, 8, substream(0, "x"))
+        fuzzy.fe_generate(BitString([0] * 11), params, 8, substream(0, "x"))
 
 
 def test_two_generates_differ_but_both_reproduce():
@@ -136,7 +136,7 @@ def test_reproduce_length_checked():
 # ----------------------------------------------------------------- toeplitz
 def test_toeplitz_zero_input_is_zero():
     seed = BitString.random(16 + 8 - 1, substream(8, "t"))
-    out = fuzzy.toeplitz_hash(seed, BitString.zeros(16), 8)
+    out = fuzzy.toeplitz_hash(seed, BitString([0] * 16), 8)
     assert not np.any(out.bits)
 
 
@@ -188,7 +188,7 @@ def test_toeplitz_matches_window_oracle_at_extractor_size():
 
 def test_toeplitz_seed_length_checked():
     with pytest.raises(ValueError):
-        fuzzy.toeplitz_hash(BitString.zeros(5), BitString.zeros(4), 3)
+        fuzzy.toeplitz_hash(BitString([0] * 5), BitString([0] * 4), 3)
 
 
 def test_toeplitz_keys_do_not_collide_for_fixed_seed():

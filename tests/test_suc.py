@@ -108,6 +108,13 @@ def test_roundtrip_many_blocks():
     assert np.array_equal(device.decrypt_blocks(device.encrypt_blocks(blocks)), blocks)
 
 
+def test_cipher_output_is_balanced():
+    device = suc.personalize(suc.SucParams(), substream(10, "d"), "d")
+    blocks = substream(11, "b").integers(0, 2**63, 2000, dtype=np.uint64)  # 128k bits
+    bits = np.unpackbits(device.encrypt_blocks(blocks).astype(">u8").view(np.uint8))
+    assert abs(bits.mean() - 0.5) <= 0.01
+
+
 def test_bitstring_api_roundtrip_and_two_sided_inverse():
     device = _device()
     rng = substream(10, "bs")
@@ -121,7 +128,7 @@ def test_bitstring_api_roundtrip_and_two_sided_inverse():
 def test_block_length_checked():
     device = _device()
     with pytest.raises(ValueError):
-        device.encrypt(BitString.zeros(32))
+        device.encrypt(BitString([0] * 32))
 
 
 def test_avalanche_single_bit_flip():
