@@ -78,7 +78,6 @@ class ChallengeSpaceSpec:
 @dataclass(eq=False)
 class Fingerprint:
     bits: BitString
-    thresholds: np.ndarray
     device_id: str = ""
 
 
@@ -135,7 +134,7 @@ def fingerprint(model: StructureModel, env=NOMINAL, rng=None) -> Fingerprint:
     """Threshold the full-grid magnitude response at RAYLEIGH_MEDIAN into identity bits."""
     measured = _measure(model.freq_response, env, rng)
     bits = BitString((np.abs(measured) > RAYLEIGH_MEDIAN).astype(np.uint8))
-    return Fingerprint(bits, np.full(model.n_bins, RAYLEIGH_MEDIAN), device_id=f"structure-{model.seed}")
+    return Fingerprint(bits, f"structure-{model.seed}")
 
 
 # --------------------------------------------------------------------------- entropy
@@ -182,7 +181,7 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
         {
             "device_id": fp.device_id,
             "bits_hex": fp.bits.to_hex(),
-            "thresholds": [float(t) for t in fp.thresholds],
+            "thresholds": [RAYLEIGH_MEDIAN] * len(fp.bits),
             "n_bins": len(fp.bits),
         },
     )
@@ -192,5 +191,7 @@ def load_fingerprint(path) -> Fingerprint:
     doc = read_json(path)
     with decoding(path):
         bits = BitString.from_hex(doc["bits_hex"], doc["n_bins"])
-        return Fingerprint(bits, np.asarray(doc["thresholds"], dtype=float), doc.get("device_id", ""))
+        if doc["thresholds"] != [RAYLEIGH_MEDIAN] * len(bits):
+            raise ValueError(f"every threshold must be RAYLEIGH_MEDIAN = {RAYLEIGH_MEDIAN!r}")
+        return Fingerprint(bits, doc.get("device_id", ""))
 

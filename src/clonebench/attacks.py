@@ -139,4 +139,4 @@ def readout_clone(target: SramPuf) -> SramPuf:
         )
     bias = target.cell_bias.copy()
     bias.flags.writeable = False
-    return SramPuf(target.n_cells, bias, target.ber_anchors, target.seed)
+    return SramPuf(target.n_cells, bias, target.seed)

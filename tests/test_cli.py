@@ -328,7 +328,8 @@ def test_identify_store_write_failure_exits_2_before_the_device_answers(tmp_path
     assert store.read_bytes() == before
 
 
-def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("verb", [["identify"], ["enroll", "--pairs", "2"]], ids=["identify", "enroll"])
+def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys, verb):
     dev, store = _enrolled(tmp_path, capsys)
     doc = json.loads(store.read_text())
     doc["c_bits"] = 60
@@ -336,9 +337,21 @@ def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys):
         rec["c_hex"] = rec["c_hex"][:15]
     store.write_text(json.dumps(doc))
     before = store.read_bytes()
-    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "97")
+    code, out = run_cli(capsys, *verb, "--device", str(dev), "--store", str(store), "--seed", "97")
     assert (code, out) == (3, "")
-    assert store.read_bytes() == before  # nothing burned
+    assert store.read_bytes() == before  # nothing burned or banked
+
+
+@pytest.mark.parametrize("field,value", [("c_hex", 123), ("used", None), ("used", "false"), ("used", 0)])
+def test_identify_store_with_ill_typed_field_exits_3(tmp_path, capsys, field, value):
+    dev, store = _enrolled(tmp_path, capsys)
+    doc = json.loads(store.read_text())
+    doc["records"][0][field] = value
+    store.write_text(json.dumps(doc))
+    before = store.read_bytes()
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "98")
+    assert (code, out) == (3, "")
+    assert store.read_bytes() == before
 
 
 def test_unseeded_run_echoes_drawn_seed(capsys):
@@ -448,3 +461,5 @@ def test_malformed_fingerprint_file_exit_code(tmp_path, capsys):
     assert cli.main(argv + ["--fingerprint", missing]) == 3
     ill_typed = _write_doc(tmp_path / "ill-typed.json", {"bits_hex": "abcdef", "n_bins": 24, "thresholds": "high"})
     assert cli.main(argv + ["--fingerprint", ill_typed]) == 3
+    other = _write_doc(tmp_path / "other.json", {"bits_hex": "abcdef", "n_bins": 24, "thresholds": [1.0] * 24})
+    assert cli.main(argv + ["--fingerprint", other]) == 3

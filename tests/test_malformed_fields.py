@@ -1,0 +1,92 @@
+"""Every field of every persisted file kind, set to an ill-typed JSON value or
+deleted, either loads or raises DataFormatError (exit 3 on the CLI), never
+another exception."""
+import copy
+import json
+
+import pytest
+
+from clonebench import BitString, acoustic, fuzzy, protocol, puf, substream, suc
+from clonebench.errors import DataFormatError
+
+#: 17 JSON values of every type, including empty and nested ones
+VALUES = [None, True, False, 0, 1, -1, 123, 1.5, -0.5, 1e300, "", "x", "zz", [], [1], {}, {"a": 1}]
+DELETE = object()
+
+
+def _store(path, nested):
+    store = protocol.CrpStore()
+    for i in range(2 if nested else 1):
+        protocol.enroll(puf.sram_new(64, 3 + i), 2, substream(i, "en"), store, device_id=f"sram-{i}")
+    protocol.save_store(store, path)
+
+
+def _device(path):
+    suc.save_device(suc.personalize(suc.SucParams(rounds=4), substream(1, "pd"), "ecu"), path)
+
+
+def _helper(path):
+    params = fuzzy.RepetitionParams(3, 8)
+    w = BitString.random(params.code_len, substream(2, "w"))
+    fuzzy.save_helper(fuzzy.fe_generate(w, params, 16, substream(3, "fe"))[1], path)
+
+
+def _fingerprint(path):
+    acoustic.save_fingerprint(acoustic.fingerprint(acoustic.structure_new(4, 32)), path)
+
+
+KINDS = {
+    "store": (lambda p: _store(p, False), protocol.load_store),
+    "nested-store": (lambda p: _store(p, True), protocol.load_store),
+    "device": (_device, suc.load_device),
+    "helper": (_helper, fuzzy.load_helper),
+    "fingerprint": (_fingerprint, acoustic.load_fingerprint),
+    "arbiter": (lambda p: puf.save_puf(puf.arbiter_new(8, 5, 0.1), p), puf.load_puf),
+    "xor-arbiter": (lambda p: puf.save_puf(puf.xor_arbiter_new(8, 2, 6), p), puf.load_puf),
+    "ro": (lambda p: puf.save_puf(puf.ro_new(8, 7), p), puf.load_puf),
+    "sram": (lambda p: puf.save_puf(puf.sram_new(16, 8), p), puf.load_puf),
+}
+
+
+def _paths(node, prefix=()):
+    """Every dict key, and the first element of every list, as a path from the root."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list) and node:
+        children = [(0, node[0])]
+    else:
+        children = []
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_ill_typed_or_missing_field_loads_or_raises_data_format_error(tmp_path, kind):
+    write, load = KINDS[kind]
+    path = tmp_path / f"{kind}.json"
+    write(path)
+    good = json.loads(path.read_text())
+    escaped = []
+    for field in _paths(good):
+        for value in VALUES + [DELETE]:
+            path.write_text(json.dumps(_mutated(good, field, value)))
+            try:
+                load(path)
+            except DataFormatError:
+                pass
+            except Exception as exc:  # any other exception is the failure under test
+                escaped.append((field, "deleted" if value is DELETE else value, repr(exc)))
+    assert escaped == []

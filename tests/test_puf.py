@@ -169,10 +169,11 @@ def test_ro_flip_probability_matches_gaussian_form():
 
 # ----------------------------------------------------------------- sram
 def test_sram_zero_noise_returns_reference():
-    device = puf.sram_new(512, 8, ber_anchors=((25.0, 0.0),))
+    device = puf.sram_new(512, 8)
     ref = puf.sram_reference(device)
-    for _ in range(3):
-        assert puf.sram_startup(device, NOMINAL, substream(9, "s")) == ref
+    for env in (NOMINAL, EnvironmentConditions(temperature_c=-40.0), EnvironmentConditions(temperature_c=85.0)):
+        assert puf.sram_startup(device, env, None) == ref
+        assert np.array_equal(device.respond(None, env, None), ref.bits)
 
 
 def test_calibrate_closed_form():
@@ -294,6 +295,19 @@ def test_descriptor_file_is_private(tmp_path):
     finally:
         os.umask(old_umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_sram_descriptor_with_other_anchors_fails_to_load(tmp_path):
+    path = tmp_path / "sram.json"
+    puf.save_puf(puf.sram_new(64, 3), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["ber_anchors"] = [[25.0, 0.0]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError):
+        puf.load_puf(path)
+    del doc["params"]["ber_anchors"]  # a descriptor without anchors takes the calibration
+    path.write_text(json.dumps(doc))
+    assert puf.sram_reference(puf.load_puf(path)) == puf.sram_reference(puf.sram_new(64, 3))
 
 
 def test_load_puf_missing_fields_raise_data_format_error(tmp_path):
