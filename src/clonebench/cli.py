@@ -28,23 +28,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _resolve_seed(args) -> int:
-    """--seed, else CLONEBENCH_SEED, else the verb's fallback, else a fresh seed from OS entropy."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CLONEBENCH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"CLONEBENCH_SEED is not an integer: {env!r}") from exc
-    if args.seed_fallback is not None:
-        return args.seed_fallback
-    seed = fresh_seed()
-    log.info("no seed given; drew %d from OS entropy (echoed in output)", seed)
-    return seed
-
-
 # --------------------------------------------------------------------------- puf
 def _build_puf(args, seed):
     model = args.model
@@ -319,12 +302,11 @@ def cmd_repro(args):
 
 
 # --------------------------------------------------------------------------- wiring
-def _add_common(sp, handler, draws=True, seed_fallback=None):
-    """The flags every verb takes, and --seed for the verbs that draw; main resolves and echoes the seed."""
+def _add_common(sp, handler, draws=True, seed_default=None):
+    """The flags every verb takes, and --seed for the verbs that draw; main draws a missing seed and echoes it."""
     if draws:
-        help_text = f"run seed (default: CLONEBENCH_SEED or {seed_fallback or 'OS entropy'})"
-        sp.add_argument("--seed", type=int, default=None, help=help_text)
-        sp.set_defaults(seed_fallback=seed_fallback)
+        help_text = f"run seed (default: {'OS entropy' if seed_default is None else seed_default})"
+        sp.add_argument("--seed", type=int, default=seed_default, help=help_text)
     sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
     sp.add_argument("--out", default=None, help="also write the JSON result to this path")
     sp.set_defaults(handler=handler, leaf=sp)
@@ -460,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("repro", help="named acceptance experiments")
     r.add_argument("name", choices=sorted(repro.EXPERIMENTS))
-    _add_common(r, cmd_repro, seed_fallback=repro.DEFAULT_SEED)
+    _add_common(r, cmd_repro, seed_default=repro.DEFAULT_SEED)
 
     return parser
 
@@ -516,8 +498,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         args = _apply_config(parser, argv, args)
-        if "seed" in args:
-            args.seed = _resolve_seed(args)
+        if "seed" in args and args.seed is None:
+            args.seed = fresh_seed()
+            log.info("no seed given; drew %d from OS entropy (echoed in output)", args.seed)
         result, code = args.handler(args)
     except DataFormatError as exc:
         log.error("data error: %s", exc)

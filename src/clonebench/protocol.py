@@ -201,7 +201,7 @@ def _run_exchange(store: CrpStore, channel: DeviceChannel, record: CrpRecord) ->
         else:
             reply = channel.inverse(record.response)
             expected = record.challenge
-    except Exception:
+    except OSError:  # only a transport fault is tamper; the authority's own faults propagate
         return VerdictReport(REASON_TAMPER)
     return VerdictReport(REASON_MATCH if reply == expected else REASON_MISMATCH)
 
@@ -308,11 +308,10 @@ def load_store(path) -> CrpStore:
         raise DataFormatError(f"{path}: bad store mode {mode!r}")
     store = CrpStore(mode=mode)
     with decoding(path):
-        if "device_id" in doc:
-            store.records[doc["device_id"]] = _entry_records(doc)
-        else:
-            for entry in doc["devices"]:
-                store.records[entry["device_id"]] = _entry_records(entry)
+        for entry in [doc] if "device_id" in doc else doc["devices"]:
+            if not isinstance(entry["device_id"], str):
+                raise TypeError(f"device_id must be a string, not {entry['device_id']!r}")
+            store.records[entry["device_id"]] = _entry_records(entry)
     return store
 
 

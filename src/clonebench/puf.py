@@ -316,6 +316,8 @@ def device_from_descriptor(doc: dict):
             raise ValueError(f"SRAM anchors other than the calibration {SRAM_BER_ANCHORS}")
         return sram_new(params["n_cells"], seed)
     if model == "xor_arbiter":
+        if params["k"] != len(params["member_seeds"]) or seed != params["member_seeds"][0]:
+            raise ValueError("an XOR descriptor's k and seed must match its member_seeds")
         return XorArbiter(tuple(
             arbiter_new(params["n_stages"], s, params.get("noise_sigma", 0.0))
             for s in params["member_seeds"]

@@ -293,6 +293,8 @@ def load_device(path) -> SucDevice:
     if doc.get("kind") != "suc_device":
         raise DataFormatError(f"{path}: not a SUC device file")
     with decoding(path):
+        if not isinstance(doc["device_id"], str):
+            raise TypeError(f"device_id must be a string, not {doc['device_id']!r}")
         params = SucParams(rounds=doc["params"]["rounds"])
         if doc["params"] != _params_doc(params.rounds):
             raise DataFormatError(f"{path}: params other than rounds differ from the cipher class")

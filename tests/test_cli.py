@@ -218,25 +218,23 @@ def test_out_flag_writes_result_file(tmp_path, capsys):
     assert doc["schema_version"] == 1
 
 
-def test_env_seed_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("CLONEBENCH_SEED", "777")
-    _, out = run_cli(capsys, "puf", "simulate", "--model", "sram", "--cells", "64")
-    doc = json.loads(out)
-    assert doc["seed"] == 777
-    _, explicit = run_cli(capsys, "puf", "simulate", "--model", "sram", "--cells", "64", "--seed", "777")
-    assert out == explicit
-
-
-def test_repro_seed_falls_back_to_env_then_default(monkeypatch, capsys):
-    monkeypatch.setenv("CLONEBENCH_SEED", "5")
-    code, out = run_cli(capsys, "repro", "challenge-space")
-    assert code == 0 and json.loads(out)["seed"] == 5
-    assert out == run_cli(capsys, "repro", "challenge-space", "--seed", "5")[1]
-    monkeypatch.delenv("CLONEBENCH_SEED")
+def test_repro_seed_defaults_to_2026_whatever_the_environment(monkeypatch, capsys):
     code, out = run_cli(capsys, "repro", "challenge-space")
     assert code == 0 and json.loads(out)["seed"] == repro.DEFAULT_SEED
+    assert out == run_cli(capsys, "repro", "challenge-space", "--seed", str(repro.DEFAULT_SEED))[1]
+    monkeypatch.setenv("CLONEBENCH_SEED", "5")  # no longer a seed source
+    assert run_cli(capsys, "repro", "challenge-space") == (code, out)
     code, help_text = run_cli(capsys, "repro", "--help")
-    assert code == 0 and "OS entropy" not in help_text and str(repro.DEFAULT_SEED) in help_text
+    assert code == 0 and "OS entropy" not in help_text and f"default: {repro.DEFAULT_SEED}" in help_text
+
+
+def test_config_seed_beats_the_repro_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    code, configured = run_cli(capsys, "repro", "challenge-space", "--config", str(cfg))
+    assert code == 0 and json.loads(configured)["seed"] == 5
+    assert configured == run_cli(capsys, "repro", "challenge-space", "--seed", "5")[1]
+    assert json.loads(run_cli(capsys, "repro", "challenge-space", "--config", str(cfg), "--seed", "6")[1])["seed"] == 6
 
 
 DRAWLESS_VERBS = [
@@ -340,6 +338,17 @@ def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys, v
     code, out = run_cli(capsys, *verb, "--device", str(dev), "--store", str(store), "--seed", "97")
     assert (code, out) == (3, "")
     assert store.read_bytes() == before  # nothing burned or banked
+
+
+def test_identify_with_a_numeric_device_id_exits_3(tmp_path, capsys):
+    dev, store = _enrolled(tmp_path, capsys)
+    doc = json.loads(dev.read_text())
+    doc["device_id"] = 7
+    dev.write_text(json.dumps(doc))
+    before = store.read_bytes()
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "98")
+    assert (code, out) == (3, "")
+    assert store.read_bytes() == before
 
 
 @pytest.mark.parametrize("field,value", [("c_hex", 123), ("used", None), ("used", "false"), ("used", 0)])

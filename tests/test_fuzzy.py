@@ -93,18 +93,23 @@ def test_sketch_xor_codeword_recovers_w():
     assert np.array_equal(helper.sketch.bits ^ codeword, w.bits)
 
 
-def test_in_radius_errors_correct_exactly():
-    params, w, key, helper = _setup(n_rep=7, n_blocks=16)
-    rng = substream(6, "err")
-    radius = params.n_rep // 2
-    for _ in range(50):
-        flips = np.zeros(params.code_len, np.uint8)
-        for b in range(params.n_blocks):
-            weight = rng.integers(0, radius + 1)
-            pos = rng.choice(params.n_rep, size=weight, replace=False)
-            flips[b * params.n_rep + pos] = 1
-        out = fuzzy.fe_reproduce(BitString(w.bits ^ flips), helper)
-        assert out is not None and out.key == key.key
+@settings(max_examples=100, deadline=None)
+@given(
+    n_rep=st.integers(0, 7).map(lambda i: 2 * i + 1),
+    n_blocks=st.integers(1, 24),
+    key_len=st.integers(1, 128),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_in_radius_errors_correct_exactly(n_rep, n_blocks, key_len, seed, data):
+    params, w, key, helper = _setup(n_rep, n_blocks, key_len, seed)
+    flips = np.zeros(params.code_len, np.uint8)
+    for b in range(n_blocks):  # at most n_rep // 2 flips per block: inside the decoding radius
+        pos = data.draw(st.lists(st.integers(0, n_rep - 1), max_size=n_rep // 2, unique=True))
+        flips[b * n_rep + np.array(pos, dtype=np.int64)] = 1
+    out = fuzzy.fe_reproduce_detail(BitString(w.bits ^ flips), helper)
+    assert out is not None and out.key == key.key
+    assert out.corrected_fraction == flips.sum() / params.code_len
 
 
 def test_overweight_block_fails_closed():

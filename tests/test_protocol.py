@@ -165,6 +165,16 @@ def test_store_rejects_missing_or_ill_typed_fields(tmp_path):
             protocol.load_store(path)
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+def test_store_rejects_a_device_id_that_is_not_a_string(tmp_path, nested):
+    path = tmp_path / "bad.json"
+    entry = {"device_id": 123, "records": []}
+    doc = {"mode": "forward", "devices": [entry]} if nested else dict(entry, mode="forward")
+    path.write_text(json.dumps(dict(doc, schema_version=1)))
+    with pytest.raises(DataFormatError, match="device_id must be a string"):
+        protocol.load_store(path)
+
+
 # ----------------------------------------------------------------- identify
 def test_identify_genuine_accepts_every_unused_record():
     device = _device()
@@ -201,6 +211,16 @@ def test_identify_channel_failure_is_tamper():
     verdict = protocol.identify(store, protocol.DeviceChannel(BrokenAgent()), "ecu-1")
     assert verdict.reason == protocol.REASON_TAMPER
     assert store.count_unused("ecu-1") == 1  # fail-safe: record burned anyway
+
+
+def test_identify_authority_fault_raises_and_burns_the_record():
+    device = _device()
+    store = _enrolled(device, 2)
+    first = store.records["ecu-1"][0]
+    store.records["ecu-1"][0] = protocol.CrpRecord(BitString(first.challenge.bits[:60]), first.response)
+    with pytest.raises(ValueError, match="block must be 64 bits"):
+        protocol.identify(store, protocol.DeviceChannel(protocol.SucAgent(device)), "ecu-1")
+    assert store.records["ecu-1"][0].used and store.count_unused("ecu-1") == 1
 
 
 def test_identify_depleted():

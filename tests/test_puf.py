@@ -310,6 +310,19 @@ def test_sram_descriptor_with_other_anchors_fails_to_load(tmp_path):
     assert puf.sram_reference(puf.load_puf(path)) == puf.sram_reference(puf.sram_new(64, 3))
 
 
+@pytest.mark.parametrize("field,value", [("k", 3), ("seed", 999)])
+def test_xor_descriptor_must_agree_with_its_member_seeds(tmp_path, field, value):
+    path = tmp_path / "xor.json"
+    puf.save_puf(puf.xor_arbiter_new(8, 2, 6), path)
+    doc = json.loads(path.read_text())
+    (doc["params"] if field == "k" else doc)[field] = value
+    with pytest.raises(ValueError, match="member_seeds"):
+        puf.device_from_descriptor(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="member_seeds"):
+        puf.load_puf(path)
+
+
 def test_load_puf_missing_fields_raise_data_format_error(tmp_path):
     path = tmp_path / "arbiter.json"
     puf.save_puf(puf.arbiter_new(16, 3), path)
