@@ -7,6 +7,7 @@ full readout cloning, modeled here as copying the reference startup pattern.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,7 +39,8 @@ class SucBitTarget:
         self.challenge_bits = device.challenge_bits
 
     def respond(self, challenges) -> np.ndarray:
-        return self.device.respond(challenges)[SUC_TARGET_BIT :: self.challenge_bits]
+        # a copy, so the labels do not keep every ciphertext bit alive
+        return self.device.respond(challenges)[SUC_TARGET_BIT :: self.challenge_bits].copy()
 
 
 # --------------------------------------------------------------------------- data + model
@@ -85,30 +87,45 @@ def collect_crps(target, n: int, rng) -> CrpDataset:
     return CrpDataset(challenges, target.respond(challenges), target.name)
 
 
-def logistic_loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its analytic gradient for the linear logistic model."""
-    z = features @ weights
-    p = 1.0 / (1.0 + np.exp(-z))
-    eps = 1e-12
-    loss = -np.mean(labels * np.log(p + eps) + (1.0 - labels) * np.log(1.0 - p + eps))
-    grad = features.T @ (p - labels) / labels.size
-    return float(loss), grad
-
-
 def train_model(data: CrpDataset, epochs: int = 500, learning_rate: float = 0.5) -> LinearModel:
-    """Full-batch gradient descent from zero weights; deterministic for given inputs."""
+    """Full-batch gradient descent on the mean cross-entropy from zero weights.
+
+    Deterministic for given inputs.  Each epoch runs in two length-n buffers,
+    and the loss takes one log per sample, the log of the probability the
+    model gives the observed response; for 0/1 responses that equals
+    ``y*log(p+eps) + (1-y)*log(1-p+eps)`` bit for bit, since the other term
+    is a signed zero added to a finite log.
+    """
     if len(data) < 10:
         raise ValueError("need at least 10 CRPs to train")
     if data.challenges.ndim != 2 or data.challenges.shape[0] != data.responses.size:
         raise ValueError("challenge matrix and response vector disagree")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning rate must be finite and > 0")
+    labels = data.responses
+    ones = labels == 1
+    if not np.all(ones | (labels == 0)):
+        raise ValueError("responses must be 0 or 1")
     features = parity_transform(data.challenges)
-    labels = data.responses.astype(np.float64)
     weights = np.zeros(features.shape[1])
     losses = np.zeros(epochs)
+    p = np.empty(labels.size)  # probability of response 1, then the residual
+    log_lik = np.empty(labels.size)
     for epoch in range(epochs):
-        loss, grad = logistic_loss_and_grad(weights, features, labels)
-        losses[epoch] = loss
-        weights -= learning_rate * grad
+        np.matmul(features, weights, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        np.subtract(1.0, p, out=log_lik)
+        np.copyto(log_lik, p, where=ones)
+        log_lik += 1e-12
+        np.log(log_lik, out=log_lik)
+        losses[epoch] = -np.mean(log_lik)
+        p -= labels
+        weights -= learning_rate * (features.T @ p / labels.size)
     return LinearModel(weights, data.source, len(data), losses)
 
 

@@ -96,11 +96,22 @@ def derive_weights(stage_delays: np.ndarray) -> np.ndarray:
 
 
 def parity_transform(challenges: np.ndarray) -> np.ndarray:
-    """Map 0/1 challenges (N, n) to the (N, n+1) parity feature vectors phi."""
+    """Map 0/1 challenges (N, n) to the (N, n+1) parity feature vectors phi.
+
+    phi_i = prod_{j >= i} (1 - 2 c_j) and phi_n = 1, built inside the output
+    alone: the signs of the reversed challenges go into a reversed view of
+    its first n columns, and the cumulative product runs in place along that
+    view.  Every product is of +-1, so it is exact in any order.
+    """
     challenges = np.atleast_2d(np.asarray(challenges))
-    signs = 1.0 - 2.0 * challenges.astype(np.float64)
-    feats = np.ones((challenges.shape[0], challenges.shape[1] + 1))
-    feats[:, : challenges.shape[1]] = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    n_rows, n_bits = challenges.shape
+    feats = np.empty((n_rows, n_bits + 1))
+    feats[:, n_bits] = 1.0
+    # not feats[:, n_bits - 1 :: -1], which is the whole matrix when n_bits == 0
+    signs = feats[:, :n_bits][:, ::-1]
+    np.multiply(challenges[:, ::-1], -2.0, out=signs)
+    signs += 1.0
+    np.cumprod(signs, axis=1, out=signs)
     return feats
 
 

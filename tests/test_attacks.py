@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import BitString, substream
 from clonebench import attacks, fuzzy, puf, suc
@@ -7,6 +11,57 @@ from clonebench import attacks, fuzzy, puf, suc
 
 def _arbiter_target(seed=1, stages=64):
     return puf.arbiter_new(stages, seed)
+
+
+# ----------------------------------------------------------------- reference oracles
+def _parity_transform_oracle(challenges):
+    """The textbook transform: a sign matrix, its reversed cumprod, then the filled features."""
+    challenges = np.atleast_2d(np.asarray(challenges))
+    signs = 1.0 - 2.0 * challenges.astype(np.float64)
+    feats = np.ones((challenges.shape[0], challenges.shape[1] + 1))
+    feats[:, : challenges.shape[1]] = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    return feats
+
+
+def _logistic_loss_and_grad(weights, features, labels):
+    """Mean cross-entropy and its analytic gradient for the linear logistic model."""
+    z = features @ weights
+    p = 1.0 / (1.0 + np.exp(-z))
+    eps = 1e-12
+    loss = -np.mean(labels * np.log(p + eps) + (1.0 - labels) * np.log(1.0 - p + eps))
+    grad = features.T @ (p - labels) / labels.size
+    return float(loss), grad
+
+
+def _train_oracle(data, epochs, learning_rate):
+    """Gradient descent with fresh temporaries and two logs per sample each epoch."""
+    features = _parity_transform_oracle(data.challenges)
+    labels = data.responses.astype(np.float64)
+    weights = np.zeros(features.shape[1])
+    losses = np.zeros(epochs)
+    for epoch in range(epochs):
+        loss, grad = _logistic_loss_and_grad(weights, features, labels)
+        losses[epoch] = loss
+        weights -= learning_rate * grad
+    return weights, losses
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(0, 60),
+    bits=st.integers(0, 70),  # 0 guards the reversed view, see parity_transform
+    dtype=st.sampled_from([np.uint8, np.bool_, np.int64]),
+    one_d=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_transform_matches_oracle_bytes(rows, bits, dtype, one_d, seed):
+    challenges = substream(seed, "pt").integers(0, 2, (rows, bits)).astype(dtype)
+    if one_d:
+        challenges = challenges[0] if rows else np.zeros(bits, dtype)
+    got = puf.parity_transform(challenges)
+    want = _parity_transform_oracle(challenges)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------- datasets
@@ -36,14 +91,75 @@ def test_gradient_matches_central_differences():
     X = puf.parity_transform(rng.integers(0, 2, (40, 8), dtype=np.uint8))
     y = rng.integers(0, 2, 40).astype(np.float64)
     w = rng.standard_normal(9) * 0.3
-    _, grad = attacks.logistic_loss_and_grad(w, X, y)
+    _, grad = _logistic_loss_and_grad(w, X, y)
     eps = 1e-6
     for i in range(w.size):
         up, down = w.copy(), w.copy()
         up[i] += eps
         down[i] -= eps
-        numeric = (attacks.logistic_loss_and_grad(up, X, y)[0] - attacks.logistic_loss_and_grad(down, X, y)[0]) / (2 * eps)
+        numeric = (_logistic_loss_and_grad(up, X, y)[0] - _logistic_loss_and_grad(down, X, y)[0]) / (2 * eps)
         assert abs(numeric - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
+
+
+@pytest.mark.parametrize("target", ["arbiter", "suc_bit"])
+def test_train_model_matches_oracle_loop_bit_for_bit(target):
+    if target == "arbiter":
+        device = _arbiter_target(seed=40)
+    else:
+        device = attacks.SucBitTarget(suc.personalize(suc.SucParams(), substream(41, "s"), "oracle"))
+    data = attacks.collect_crps(device, 3000, substream(42, "d"))
+    model = attacks.train_model(data, epochs=300, learning_rate=0.5)
+    weights, losses = _train_oracle(data, 300, 0.5)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.loss_history.tobytes() == losses.tobytes()
+
+
+def test_feature_and_training_memory_stay_bounded():
+    # the in-place transform allocates only its output; training adds length-n buffers
+    challenges = substream(43, "m").integers(0, 2, (20_000, 64), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        feats = puf.parity_transform(challenges)
+        transform_peak = tracemalloc.get_traced_memory()[1]
+        del feats
+        tracemalloc.stop()
+        data = attacks.CrpDataset(challenges, challenges[:, 0].copy(), "memory")
+        tracemalloc.start()
+        attacks.train_model(data, epochs=3)
+        train_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = challenges.shape[0]
+    feature_bytes = n * 65 * 8
+    assert transform_peak <= 1.05 * feature_bytes
+    assert train_peak <= feature_bytes + 5 * n * 8
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"epochs": 0},
+        {"epochs": -1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": -1.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": float("inf")},
+    ],
+    ids=["epochs-0", "epochs-neg", "lr-nan", "lr-neg", "lr-0", "lr-inf"],
+)
+def test_train_refuses_settings_it_cannot_train_with(kwargs):
+    data = attacks.collect_crps(_arbiter_target(), 200, substream(44, "d"))
+    with pytest.raises(ValueError):
+        attacks.train_model(data, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1.0, float("nan")])
+def test_train_refuses_responses_outside_0_1(bad):
+    challenges = substream(45, "d").integers(0, 2, (200, 16), dtype=np.uint8)
+    responses = (challenges[:, 0] == 1).astype(np.float64)
+    responses[7] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        attacks.train_model(attacks.CrpDataset(challenges, responses, "bad"))
 
 
 def test_loss_non_increasing_at_small_steps():
@@ -141,6 +257,7 @@ def test_suc_target_bit_extraction():
     target = attacks.SucBitTarget(device)
     challenges = substream(31, "c").integers(0, 2, (50, 64), dtype=np.uint8)
     got = target.respond(challenges)
+    assert got.base is None  # not a view that keeps all 64 ciphertext bits alive
     want = np.array(
         [device.encrypt(BitString(c)).bits[attacks.SUC_TARGET_BIT] for c in challenges], np.uint8
     )

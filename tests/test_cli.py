@@ -418,6 +418,13 @@ def test_attack_model_verb_small(capsys):
     assert doc["accuracy"] >= 0.9
 
 
+@pytest.mark.parametrize("flag", ["--epochs=0", "--epochs=-1", "--lr=nan", "--lr=-1"])
+def test_attack_model_refuses_untrainable_settings(capsys, flag):
+    argv = ["attack", "model", "--target", "arbiter", "--train", "200", "--test", "200", "--seed", "1"]
+    assert cli.main(argv + [flag]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def _write_doc(path, doc):
     path.write_text(json.dumps(dict(doc, schema_version=1)))
     return str(path)
