@@ -107,6 +107,83 @@ def test_from_int_rejects_out_of_range_property(n_bits, data):
             BitString.from_int(value, n_bits)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_sized_values(), max_size=8))  # widths mix within a batch
+def test_hex_batch_agrees_with_scalar_codecs_property(items):
+    bitstrings = [BitString.from_int(value, n_bits) for value, n_bits in items]
+    texts = BitString.to_hex_batch(bitstrings)
+    assert texts == [b.to_hex() for b in bitstrings]
+    assert texts == [f"{value << (-n_bits % 4):0{-(-n_bits // 4)}x}" for value, n_bits in items]
+    # undeclared widths: four bits per digit, mixed within the call
+    assert BitString.from_hex_batch(texts) == [BitString.from_hex(t) for t in texts]
+    for n_bits in {n for _, n in items}:
+        same = [i for i, (_, n) in enumerate(items) if n == n_bits]
+        decoded = BitString.from_hex_batch([f" {texts[i].upper()}\n" for i in same], n_bits)
+        assert decoded == [bitstrings[i] for i in same]
+        assert decoded == [BitString.from_hex(texts[i], n_bits) for i in same]
+
+
+def _corrupt(text, kind):
+    if kind == "digit":
+        return text[:-1] + "g"
+    if kind == "count":
+        return text + "0"
+    if kind == "padding":
+        return f"{int(text, 16) | 1:0{len(text)}x}"
+    return ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_bits=st.integers(min_value=1, max_value=300),
+    kind=st.sampled_from(["digit", "count", "padding", "empty"]),
+    data=st.data(),
+)
+def test_hex_batch_and_scalar_reject_each_malformed_item_property(n_bits, kind, data):
+    if kind == "padding" and n_bits % 4 == 0:
+        n_bits += 1
+    values = data.draw(st.lists(st.integers(0, (1 << n_bits) - 1), min_size=1, max_size=6))
+    texts = BitString.to_hex_batch([BitString.from_int(v, n_bits) for v in values])
+    bad = data.draw(st.integers(0, len(texts) - 1))
+    texts[bad] = _corrupt(texts[bad], kind)
+    with pytest.raises(ValueError):
+        BitString.from_hex_batch(texts, n_bits)
+    with pytest.raises(ValueError):
+        BitString.from_hex(texts[bad], n_bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(min_value=0, max_value=6),
+    n_cols=st.integers(min_value=1, max_value=130),
+    data=st.data(),
+)
+def test_rows_match_per_row_construction_and_stay_read_only_property(n_rows, n_cols, data):
+    matrix = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols),
+                                min_size=n_rows, max_size=n_rows))
+    arr = np.array(matrix, dtype=np.uint8).reshape(n_rows, n_cols)
+    rows = BitString.rows(arr)
+    assert rows == [BitString(row) for row in arr]
+    if n_rows:
+        arr[0, 0] ^= 1  # the rows hold a copy
+        assert rows[0].bits[0] != arr[0, 0]
+    for row in rows:
+        with pytest.raises(ValueError):
+            row.bits[0] = 1
+        with pytest.raises(ValueError):
+            row.bits.flags.writeable = True
+    if n_rows:
+        arr[-1, -1] = data.draw(st.integers(2, 255))
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitString.rows(arr)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (4,), (2, 2, 2)])
+def test_rows_rejects_zero_width_and_non_matrices(shape):
+    with pytest.raises(ValueError):
+        BitString.rows(np.zeros(shape, dtype=np.uint8))
+
+
 def test_xor_and_hamming():
     a = BitString([1, 0, 1, 0])
     b = BitString([1, 1, 0, 0])

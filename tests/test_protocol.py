@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonebench import BitString, substream
-from clonebench import acoustic, fuzzy, protocol, suc
+from clonebench import acoustic, fuzzy, protocol, puf, suc
 from clonebench.errors import DataFormatError
 
 
@@ -56,6 +56,44 @@ def test_enroll_device_without_challenge_under_power_up_index():
     assert {len(r.challenge) for r in records} == {protocol.POWER_UP_INDEX_BITS}
     assert len({r.challenge for r in records}) == 5
     assert all(r.response == puf.ro_response(device) for r in records)
+
+
+def _enroll_per_row(device, n_pairs, rng, store, device_id):
+    """Reference enrollment: one BitString.random draw per challenge, repeats skipped."""
+    n_bits = device.challenge_bits or protocol.POWER_UP_INDEX_BITS
+    seen = {rec.challenge for rec in store.records.get(device_id, [])}
+    fresh = []
+    while len(fresh) < n_pairs:
+        c = BitString.random(n_bits, rng)
+        if c not in seen:
+            seen.add(c)
+            fresh.append(c)
+    replies = device.respond(fresh).reshape(n_pairs, -1)
+    store.device_records(device_id).extend(protocol.CrpRecord(c, BitString(r)) for c, r in zip(fresh, replies))
+
+
+@pytest.mark.parametrize(
+    "make, pairs",
+    [
+        (lambda: _device(), (300, 200)),
+        # 200 of the 256 power-up indices: repeats force top-up draws
+        (lambda: puf.sram_new(64, 3), (120, 80)),
+        (lambda: puf.arbiter_new(63, 4, 0.0), (50, 30)),
+        (lambda: puf.arbiter_new(64, 4, 0.0), (50, 30)),
+    ],
+    ids=["suc-64", "sram-index-8", "arbiter-63", "arbiter-64"],
+)
+def test_enroll_replays_the_per_row_loop(make, pairs):
+    device = make()
+    did = getattr(device, "device_id", "d")  # a SucDevice enrolls under its own id
+    batch, per_row = protocol.CrpStore(), protocol.CrpStore()
+    batch_rng, per_row_rng = substream(9, "en"), substream(9, "en")
+    for n in pairs:  # the second call draws around the first call's challenges
+        protocol.enroll(device, n, batch_rng, batch, device_id=did)
+        _enroll_per_row(device, n, per_row_rng, per_row, did)
+    assert len(batch.records[did]) == sum(pairs)
+    assert batch.records == per_row.records
+    assert batch_rng.integers(0, 2**62) == per_row_rng.integers(0, 2**62)
 
 
 def test_reenroll_after_depletion_restores_capacity():
