@@ -340,6 +340,17 @@ def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys, v
     assert store.read_bytes() == before  # nothing burned or banked
 
 
+def test_identify_store_with_a_duplicated_record_exits_3(tmp_path, capsys):
+    dev, store = _enrolled(tmp_path, capsys)
+    doc = json.loads(store.read_text())
+    doc["records"].append(doc["records"][0])  # identify would otherwise hand this CRP out twice
+    store.write_text(json.dumps(doc))
+    before = store.read_bytes()
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "98")
+    assert (code, out) == (3, "")
+    assert store.read_bytes() == before
+
+
 def test_identify_with_a_numeric_device_id_exits_3(tmp_path, capsys):
     dev, store = _enrolled(tmp_path, capsys)
     doc = json.loads(dev.read_text())

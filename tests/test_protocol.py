@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import sys
 import threading
 
 import numpy as np
@@ -128,7 +129,7 @@ def _stores(draw):
         row = st.tuples(st.integers(0, 2**c_bits - 1), st.integers(0, 2**r_bits - 1), st.booleans())
         store.records[device_id] = [
             protocol.CrpRecord(BitString.from_int(c, c_bits), BitString.from_int(r, r_bits), used)
-            for c, r, used in draw(st.lists(row, max_size=6))
+            for c, r, used in draw(st.lists(row, max_size=6, unique_by=lambda t: t[0]))
         ]
     return store
 
@@ -203,6 +204,22 @@ def test_store_rejects_missing_or_ill_typed_fields(tmp_path):
             protocol.load_store(path)
 
 
+@pytest.mark.parametrize(
+    "twin",
+    [lambda row: dict(row), lambda row: dict(row, c_hex=row["c_hex"].upper(), r_hex="0" * 16)],
+    ids=["same-row", "same-challenge"],
+)
+def test_store_rejects_a_challenge_stored_twice(tmp_path, twin):
+    # consume_next would hand the same challenge out twice
+    path = tmp_path / "store.json"
+    protocol.save_store(_enrolled(_device(), 3), path)
+    doc = json.loads(path.read_text())
+    doc["records"].append(twin(doc["records"][1]))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="holds a challenge twice"):
+        protocol.load_store(path)
+
+
 @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
 def test_store_rejects_a_device_id_that_is_not_a_string(tmp_path, nested):
     path = tmp_path / "bad.json"
@@ -211,6 +228,145 @@ def test_store_rejects_a_device_id_that_is_not_a_string(tmp_path, nested):
     path.write_text(json.dumps(dict(doc, schema_version=1)))
     with pytest.raises(DataFormatError, match="device_id must be a string"):
         protocol.load_store(path)
+
+
+# ----------------------------------------------------------------- consume
+def _scan_next(store, device_id):
+    """Reference consume_next: the first unused record, found by a scan from the start."""
+    for rec in store.records.get(device_id, []):
+        if not rec.used:
+            rec.used = True
+            return rec
+    return None
+
+
+def _scan_challenge(store, device_id, challenge):
+    """Reference consume_challenge: the first record with the challenge, found by a scan."""
+    key = challenge.bits.tobytes()
+    for rec in store.records.get(device_id, []):
+        if rec.challenge.bits.tobytes() == key:
+            if rec.used:
+                return rec, True
+            rec.used = True
+            return rec, False
+    return None, False
+
+
+class _ComplementDevice:
+    """Five-bit challenges answered by their complement: a small space that enroll can exhaust."""
+
+    challenge_bits = 5
+
+    def respond(self, challenges):
+        return 1 - np.asarray(challenges)
+
+
+def _records5(rows):
+    return [protocol.CrpRecord(BitString.from_int(c, 5), BitString.from_int(31 - c, 5), used) for c, used in rows]
+
+
+_DEVICES = st.sampled_from(["a", "b"])
+_ROWS = st.lists(st.tuples(st.integers(0, 31), st.booleans()), max_size=12)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("next"), _DEVICES),
+        st.tuples(st.just("challenge"), _DEVICES, st.integers(0, 31)),  # known, used or unknown
+        st.tuples(st.just("enroll"), _DEVICES, st.integers(1, 4), st.integers(0, 2**16)),
+        st.tuples(st.just("append"), _DEVICES, _ROWS),
+        st.tuples(st.just("replace"), _DEVICES, _ROWS),
+        st.tuples(st.just("drop"), _DEVICES),
+    ),
+    max_size=40,
+)
+
+
+def _apply(store, step, consume_next, consume_challenge):
+    """Run one step on ``store``; the position of a claimed record stands for the record."""
+    kind, did = step[0], step[1]
+
+    def position(rec):
+        return None if rec is None else next(i for i, r in enumerate(store.records[did]) if r is rec)
+
+    if kind == "next":
+        return position(consume_next(did))
+    if kind == "challenge":
+        rec, already_used = consume_challenge(did, BitString.from_int(step[2], 5))
+        return position(rec), already_used
+    if kind == "enroll":
+        try:
+            return protocol.enroll(_ComplementDevice(), step[2], substream(step[3], "en"), store, device_id=did)
+        except ValueError as exc:  # the five-bit space ran out
+            return str(exc)
+    if kind == "append":
+        store.device_records(did).extend(_records5(step[2]))
+    elif kind == "replace":
+        store.records[did] = _records5(step[2])
+    else:
+        store.records.pop(did, None)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_ROWS, steps=_STEPS)
+def test_consume_calls_answer_as_the_scan_does(start, steps):
+    store, oracle = protocol.CrpStore(), protocol.CrpStore()
+    store.records["a"], oracle.records["a"] = _records5(start), _records5(start)
+    for step in steps:
+        got = _apply(store, step, store.consume_next, store.consume_challenge)
+        want = _apply(oracle, step, lambda d: _scan_next(oracle, d), lambda d, c: _scan_challenge(oracle, d, c))
+        assert got == want, step
+        assert store.records == oracle.records, step  # records and used flags, in order
+        if step[0] in ("next", "challenge"):  # a consume call keeps state only for records
+            assert (step[1] in store._lookups) == bool(store.records.get(step[1])), step
+
+
+def test_an_append_extends_the_challenge_index_in_place(monkeypatch):
+    device = _device()
+    store = _enrolled(device, 5)
+    records = store.records["ecu-1"]
+    assert store.consume_challenge("ecu-1", records[0].challenge) == (records[0], False)
+    index = store._lookups["ecu-1"].by_challenge
+    protocol.enroll(device, 3, substream(3, "more"), store)
+    records.extend(_enrolled(device, 2, seed=4).records["ecu-1"])  # an append by the caller
+    hashed = []
+    real_hash = BitString.__hash__
+    monkeypatch.setattr(BitString, "__hash__", lambda self: hashed.append(self) or real_hash(self))
+    assert store.consume_challenge("ecu-1", records[9].challenge) == (records[9], False)
+    assert len(hashed) == 6  # the five appended records and the asked challenge
+    assert store._lookups["ecu-1"].by_challenge is index and len(index) == 10
+
+
+def test_identify_after_the_records_are_replaced_starts_from_the_new_list():
+    device = _device()
+    store = _enrolled(device, 3)
+    channel = protocol.DeviceChannel(protocol.SucAgent(device))
+    assert all(protocol.identify(store, channel, "ecu-1").accepted for _ in range(2))
+    store.records["ecu-1"] = _enrolled(device, 3, seed=5).records["ecu-1"]
+    assert [protocol.identify(store, channel, "ecu-1").reason for _ in range(4)] == ["match"] * 3 + ["depleted"]
+    assert store.count_unused("ecu-1") == 0
+
+
+def test_a_shortened_list_starts_a_fresh_lookup():
+    store = _enrolled(_device(), 4)
+    records = store.records["ecu-1"]
+    for rec in records:
+        store.consume_challenge("ecu-1", rec.challenge)
+    gone = records.pop()
+    assert store.consume_challenge("ecu-1", gone.challenge) == (None, False)
+    assert store.consume_next("ecu-1") is None
+
+
+def test_consume_keeps_no_state_for_a_device_without_records():
+    store = _enrolled(_device(), 2)
+    store.records["empty"] = []
+    probe = store.records["ecu-1"][0].challenge
+    for did in ("ghost", "empty"):
+        assert store.consume_next(did) is None
+        assert store.consume_challenge(did, probe) == (None, False)
+    assert store._lookups == {}
+    store.consume_challenge("ecu-1", probe)
+    store.records["ecu-1"] = []  # a device whose records are gone drops its state
+    assert store.consume_next("ecu-1") is None and store._lookups == {}
 
 
 # ----------------------------------------------------------------- identify
@@ -335,20 +491,32 @@ def test_concurrent_sessions_never_share_a_record():
     device = _device()
     n = 400
     store = _enrolled(device, n)
+    challenges = [r.challenge for r in store.records["ecu-1"]]
     consumed = []
 
-    def worker():
-        while True:
-            record = store.consume_next("ecu-1")
-            if record is None:
-                return
+    def by_next():
+        while (record := store.consume_next("ecu-1")) is not None:
             consumed.append(record.challenge.to_hex())
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def by_challenge(order):
+        for challenge in order:
+            record, already_used = store.consume_challenge("ecu-1", challenge)
+            if not already_used:
+                consumed.append(record.challenge.to_hex())
+
+    orders = [challenges[k:] + challenges[:k] for k in range(0, n, n // 4)]
+    threads = [threading.Thread(target=by_next) for _ in range(4)]
+    threads += [threading.Thread(target=by_challenge, args=(order[::step],)) for order, step in zip(orders, (1, -1, 1, -1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len(consumed) == n
     assert len(set(consumed)) == n
     assert store.count_unused("ecu-1") == 0
