@@ -473,6 +473,23 @@ def test_malformed_helper_file_exit_code(tmp_path, capsys):
     assert cli.main(["fe", "reproduce", "--input-hex", "abcdef", "--helper", ill_typed]) == 3
 
 
+@pytest.mark.parametrize("key_len", [0, True])
+def test_helper_with_key_len_below_one_or_bool_exits_3(tmp_path, capsys, key_len):
+    # the seed is cut to code_len + key_len - 1 bits, so only key_len itself is wrong
+    helper = tmp_path / "helper.json"
+    code, _ = run_cli(
+        capsys, "fe", "generate", "--n-rep", "3", "--blocks", "4", "--input-hex", "abc",
+        "--key-len", "8", "--helper-out", str(helper), "--seed", "81",
+    )
+    assert code == 0
+    doc = json.loads(helper.read_text())
+    seed_bits = 12 + key_len - 1
+    top = int(doc["seed_hex"], 16) >> (4 * len(doc["seed_hex"]) - seed_bits)
+    doc["key_len"], doc["seed_hex"] = key_len, f"{top << (-seed_bits % 4):0{-(-seed_bits // 4)}x}"
+    mutated = _write_doc(tmp_path / "mutated.json", doc)
+    assert cli.main(["fe", "reproduce", "--input-hex", "abc", "--helper", mutated]) == 3
+
+
 def test_malformed_fingerprint_file_exit_code(tmp_path, capsys):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"

@@ -97,19 +97,41 @@ def test_sketch_xor_codeword_recovers_w():
 @given(
     n_rep=st.integers(0, 7).map(lambda i: 2 * i + 1),
     n_blocks=st.integers(1, 24),
-    key_len=st.integers(1, 128),
+    key_len=st.one_of(st.sampled_from([64, 65, 128, 129]), st.integers(1, 200)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_in_radius_errors_correct_exactly(n_rep, n_blocks, key_len, seed, data):
+def test_in_radius_errors_correct_exactly(tmp_path_factory, n_rep, n_blocks, key_len, seed, data):
     params, w, key, helper = _setup(n_rep, n_blocks, key_len, seed)
+    assert key.key == _toeplitz_window_oracle(helper.toeplitz_seed, w, key_len)
     flips = np.zeros(params.code_len, np.uint8)
     for b in range(n_blocks):  # at most n_rep // 2 flips per block: inside the decoding radius
         pos = data.draw(st.lists(st.integers(0, n_rep - 1), max_size=n_rep // 2, unique=True))
         flips[b * n_rep + np.array(pos, dtype=np.int64)] = 1
-    out = fuzzy.fe_reproduce_detail(BitString(w.bits ^ flips), helper)
-    assert out is not None and out.key == key.key
-    assert out.corrected_fraction == flips.sum() / params.code_len
+    path = tmp_path_factory.mktemp("helper") / "helper.json"
+    fuzzy.save_helper(helper, path)
+    for used in (helper, fuzzy.load_helper(path)):
+        out = fuzzy.fe_reproduce_detail(BitString(w.bits ^ flips), used)
+        assert out is not None and out.key == key.key
+        assert out.corrected_fraction == flips.sum() / params.code_len
+
+
+def test_generate_and_reproduces_build_the_toeplitz_table_once(monkeypatch):
+    built = []
+    build = fuzzy.toeplitz_columns
+    monkeypatch.setattr(fuzzy, "toeplitz_columns", lambda *args: built.append(args) or build(*args))
+    _, w, key, helper = _setup(n_rep=5, n_blocks=8, key_len=32)
+    for _ in range(3):
+        assert fuzzy.fe_reproduce(w, helper).key == key.key
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("key_len", [1, 63, 64, 65, 128, 129])
+def test_toeplitz_table_is_read_only_and_packed(key_len):
+    params, _, _, helper = _setup(n_rep=3, n_blocks=7, key_len=key_len)
+    table = helper.toeplitz_table
+    assert table.dtype == np.uint64 and not table.flags.writeable
+    assert table.nbytes == 8 * -(-key_len // 64) * params.code_len
 
 
 def test_overweight_block_fails_closed():
@@ -208,9 +230,9 @@ def test_entropy_accounting():
     assert fuzzy.entropy_accounting(256, 0, 1.0) == 256
     assert fuzzy.entropy_accounting(100, 100) == 0
     leak = fuzzy.sketch_leak_bits(fuzzy.RepetitionParams(15, 20))
-    assert leak == 280
+    assert leak == 312  # 300 - 20 bits of sketch redundancy plus the 32-bit checksum
     assert fuzzy.entropy_accounting(300, leak, 2.0**-40) == 0
-    assert fuzzy.entropy_accounting(500, leak, 2.0**-40) == 140
+    assert fuzzy.entropy_accounting(500, leak, 2.0**-40) == 108
     with pytest.raises(ValueError):
         fuzzy.entropy_accounting(0, 0)
 
