@@ -27,6 +27,23 @@ import numpy as np
 _HEX_SET = frozenset("0123456789abcdef")
 
 
+def bit_matrix(rows) -> np.ndarray:
+    """Challenge rows (or one row) as a 2-D uint8 matrix of 0/1.
+
+    Any entry other than 0 or 1 is a ValueError, checked before the cast to
+    uint8 so that 256 cannot wrap to 0, -1 to 255 or 0.5 to 0.  A uint8 input
+    is checked with one ``max`` and returned without a copy.
+    """
+    arr = np.asarray(rows)
+    if arr.dtype == np.uint8:
+        bad = arr.size and arr.max() > 1
+    else:
+        bad = not ((arr == 0) | (arr == 1)).all()
+    if bad:
+        raise ValueError("challenge bits must be 0 or 1")
+    return np.atleast_2d(arr.astype(np.uint8, copy=False))
+
+
 class BitString:
     __slots__ = ("_bits",)
 

@@ -1,23 +1,39 @@
 """Hot numeric kernels: SPN cipher rounds and batched 4-bit S-box spectra.
 
-One table format serves both cipher directions: :class:`clonebench.suc.SucDevice`
-builds an encrypt table set and an equivalent-inverse decrypt table set, each
-(rounds, 16, 16) uint64 with one key per round plus a whitening key.  Two
-evaluators read it.  :func:`spn_batch` runs an array of blocks in numpy, 16
-fancy-index calls per round.  :func:`spn_block` runs one block on Python ints
-over flat 256-entry memoryviews of the same tables (:func:`spn_block_rounds`),
-so one block does not pay numpy's per-call overhead 640 times.  In one traced
-identify unit (``bench/run.py --workload identify --seed 2026 --trace 1``, on
-a 2-vCPU Intel Xeon with Python 3.11) the 775 ``suc.encrypt`` calls took 97 ms
-in all (``suc.encrypt.self_s``) against 2.9 s through :func:`spn_batch`, and
-``kernels.spn_encrypt.calls`` fell from 787 to the 12 enrollment batches.
+One table format serves both cipher directions.  A round XORs its key, then
+ORs together one lookup per nibble: nibble j's table holds S(v) already
+scattered to the bit positions the permutation gives nibble j.  The
+permutation P(4j+b) = 16b+j is PRESENT's (Bogdanov et al., CHES 2007): nibble
+j+1's bits land one position above nibble j's, so the two nibbles of byte p
+land where those of byte 0 do, moved up by a fixed shift.  :func:`byte_tables`
+turns the (rounds, 16, 16) nibble tables that :class:`clonebench.suc.SucDevice`
+builds into one 256-entry uint64 table per round, byte 0's, and a (rounds, 8)
+shift array: 2p in the encrypt rounds, 0, 32, 1, 33, 2, 34, 3, 35 in the
+inverse rounds, and 8p in the last inverse round, which scatters through the
+identity.  The form is exact.  One broadcast compare checks that each nibble's
+table is the same nibble of byte 0 shifted by its byte's shift, and a second
+check that no shift pushes a bit past bit 63; since a shift distributes over
+OR, ``tables[r, x] << shifts[r, p]`` is then bit for bit the OR of byte p's
+two nibble lookups.  A 40-round set takes 80 KiB of tables and 320 bytes of
+shifts, as the nibble tables took 80 KiB; eight tables per round would take
+640 KiB.
+
+Two evaluators read the format, each with 8 lookups per round where the
+nibble tables took 16.  :func:`spn_batch` runs an array of blocks in numpy,
+with 8 ``take`` calls per round into reused buffers.  :func:`spn_block` runs
+one block on Python ints over memoryviews of the same tables
+(:func:`spn_block_rounds`), so one block does not pay numpy's per-call
+overhead 320 times.  On a 2-vCPU Intel Xeon with Python 3.11 and numpy 2.4
+(timeit, best of 5), one 40-round block took 58 us against 99 us with nibble
+tables, and encrypting plus decrypting 100k blocks 0.17 s against 0.69 s.
 
 :func:`sbox_spectra` derives the full DDT and Walsh tables of a batch of
 S-boxes from one Walsh-Hadamard transform.  Two callers read it: the
 personalization filter :func:`sbox_audit_batch`, and the trail sampler, which
-draws output differences from the DDT rows.  In one traced analysis unit (``--workload analysis``, same host) the
-audit of 42752 tables took 0.12 s (``kernels.sbox_audit.self_s``) against
-2.07 s with one pass per nonzero input difference and per mask pair.
+draws output differences from the DDT rows.  In one traced analysis unit
+(``bench/run.py --workload analysis --trace 1``, same host) the audit of 42752
+tables took 0.12 s (``kernels.sbox_audit.self_s``) against 2.07 s with one
+pass per nonzero input difference and per mask pair.
 """
 import numpy as np
 
@@ -37,49 +53,89 @@ def active_backend() -> str:
 
 
 # --------------------------------------------------------------------------- SPN rounds
-def spn_batch(states, tables, keys):
+def byte_tables(nibble_tables):
+    """The byte-table form ``(tables, shifts)`` of a (rounds, 16, 16) nibble table set.
+
+    ``nibble_tables[r, j, v]`` is round r's output for value v of nibble j
+    alone.  ``tables[r, x]`` (uint64, C order) is the output of byte 0, which
+    holds nibbles 0 and 1, for byte value x; ``shifts[r, p]`` (uint8) moves it
+    onto byte p's output, so that byte p's table is ``tables[r] << shifts[r, p]``.
+    Raises ValueError unless each nibble's table is that shift of the table of
+    the same nibble of byte 0, with no bit pushed past bit 63.
+    """
+    # nib[r, p, h, v]: nibble 2p + h of round r, value v
+    nib = np.ascontiguousarray(nibble_tables, dtype=np.uint64).reshape(-1, 8, 2, 16)
+    union = np.bitwise_or.reduce(nib, axis=(2, 3))
+    # index of each union's lowest set bit; frexp is exact on powers of two
+    low = np.frexp((union & (~union + np.uint64(1))).astype(np.float64))[1] - 1
+    shifts = low - low[:, :1]
+    if not 0 <= shifts.min() <= shifts.max() <= 63:
+        raise ValueError("byte tables are not shifts of one table")
+    shifts = shifts.astype(np.uint64)
+    if not np.array_equal(nib[:, :1] << shifts[:, :, None, None], nib):
+        raise ValueError("byte tables are not shifts of one table")
+    head = union[:, :1]
+    if ((head << shifts) >> shifts != head).any():
+        raise ValueError("a byte-table shift pushes a bit past bit 63")
+    # tables[r, 16 * hi + lo] = nib[r, 0, 0, lo] | nib[r, 0, 1, hi]
+    tables = (nib[:, 0, 0, None, :] | nib[:, 0, 1, :, None]).reshape(-1, 256)
+    return tables, shifts.astype(np.uint8)
+
+
+def spn_batch(states, tables, shifts, keys):
     """Run SPN rounds over a uint64 block array.
 
     Round r XORs ``keys[r]`` into the state, then ORs together
-    ``tables[r, j, nibble_j]`` over the 16 nibbles; ``keys[-1]`` whitens the
-    output.  tables is (rounds, 16, 16) uint64, keys is (rounds + 1,) uint64.
+    ``tables[r, byte_p] << shifts[r, p]`` over the 8 bytes; ``keys[-1]``
+    whitens the output.  tables, shifts are as from :func:`byte_tables`, keys
+    is (rounds + 1,) uint64.  Four block-sized buffers are reused throughout.
     """
     s = states.copy()
-    n_rounds = tables.shape[0]
-    for r in range(n_rounds):
+    acc = np.empty_like(s)
+    word = np.empty_like(s)
+    moved = np.empty_like(s)
+    index = word.view(np.int64)  # bytes are < 256, so the same bits as int64
+    shifts = shifts.astype(np.uint64)
+    for r, t in enumerate(tables):
         s ^= keys[r]
-        acc = np.zeros_like(s)
-        for j in range(16):
-            nib = ((s >> np.uint64(4 * j)) & np.uint64(15)).astype(np.int64)
-            acc |= tables[r, j, nib]
-        s = acc
-    return s ^ keys[n_rounds]
+        np.bitwise_and(s, np.uint64(255), out=word)
+        np.take(t, index, out=acc, mode="clip")
+        for p in range(1, 8):
+            np.right_shift(s, np.uint64(8 * p), out=word)
+            if p < 7:
+                word &= np.uint64(255)
+            np.take(t, index, out=moved, mode="clip")
+            moved <<= shifts[r, p]
+            acc |= moved
+        s, acc = acc, s
+    s ^= keys[len(tables)]
+    return s
 
 
-def spn_block_rounds(tables, keys):
-    """Wrap a C-ordered table set for :func:`spn_block`: a (flat 256-entry table,
-    int key) pair per round and the int whitening key.  The tables are not copied."""
+def spn_block_rounds(tables, shifts, keys):
+    """Wrap a table set for :func:`spn_block`: a (256-entry table, int key,
+    seven int shifts) tuple per round and the int whitening key.  The tables
+    are memoryviews of ``tables``, not copies."""
     flat = memoryview(tables).cast("B").cast("Q")
     keys = keys.tolist()
-    rounds = tuple((flat[256 * r:256 * (r + 1)], keys[r]) for r in range(len(keys) - 1))
+    rounds = tuple(
+        (flat[256 * r:256 * (r + 1)], keys[r], *row[1:]) for r, row in enumerate(shifts.tolist())
+    )
     return rounds, keys[-1]
 
 
 def spn_block(state, rounds, out_key):
     """The rounds of :func:`spn_batch` over one block held in a Python int.
 
-    Each round XORs its key, then ORs ``table[16 * j | nibble_j]`` over the 16
-    nibbles; out_key whitens the output.
+    Each round XORs its key, then ORs ``table[byte_p] << s_p`` over the 8
+    bytes (byte 0's shift is 0); out_key whitens the output.
     """
-    for t, k in rounds:
+    for t, k, s1, s2, s3, s4, s5, s6, s7 in rounds:
         state ^= k
         state = (
-            t[state & 15] | t[16 | state >> 4 & 15] | t[32 | state >> 8 & 15]
-            | t[48 | state >> 12 & 15] | t[64 | state >> 16 & 15] | t[80 | state >> 20 & 15]
-            | t[96 | state >> 24 & 15] | t[112 | state >> 28 & 15] | t[128 | state >> 32 & 15]
-            | t[144 | state >> 36 & 15] | t[160 | state >> 40 & 15] | t[176 | state >> 44 & 15]
-            | t[192 | state >> 48 & 15] | t[208 | state >> 52 & 15] | t[224 | state >> 56 & 15]
-            | t[240 | state >> 60]
+            t[state & 255] | t[state >> 8 & 255] << s1 | t[state >> 16 & 255] << s2
+            | t[state >> 24 & 255] << s3 | t[state >> 32 & 255] << s4
+            | t[state >> 40 & 255] << s5 | t[state >> 48 & 255] << s6 | t[state >> 56] << s7
         )
     return state ^ out_key
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BitString, bit_matrix
 from .environment import NOMINAL, EnvironmentConditions
 from .jsonio import decoding, read_json, write_json
 from .rng import substream
@@ -128,7 +128,7 @@ def arbiter_new(n_stages: int, seed: int, noise_sigma: float = 0.0) -> ArbiterPu
 
 
 def _challenge_matrix(puf: ArbiterPuf, challenges) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
+    mat = bit_matrix(challenges)
     if mat.shape[1] != puf.n_stages:
         raise ValueError(f"challenge length {mat.shape[1]} != {puf.n_stages} stages")
     return mat

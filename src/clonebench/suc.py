@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, trails
-from .bitstring import BitString
+from .bitstring import BitString, bit_matrix
 from .environment import NOMINAL
 from .errors import DataFormatError, GenerationFailureError
 from .jsonio import decoding, read_json, write_json
@@ -134,8 +134,7 @@ class SucDevice:
     except through :func:`save_device` on an explicitly provided path."""
 
     __slots__ = (
-        "device_id", "params", "_sboxes", "_master_key",
-        "_enc", "_enc_keys", "_dec", "_dec_keys", "_enc_block", "_dec_block",
+        "device_id", "params", "_sboxes", "_master_key", "_enc", "_dec", "_enc_block", "_dec_block",
     )
 
     name = "suc"
@@ -155,25 +154,29 @@ class SucDevice:
         inv_place = trails.scatter_table(np.argsort(perm))
         inv_sboxes = np.argsort(sboxes, axis=1)
         keys = round_keys(self._master_key, params.rounds)
-        # C order, so that each round's 256 entries are one run of memory for spn_block_rounds
-        self._enc = np.ascontiguousarray(np.stack([place[:, sbox] for sbox in sboxes]))
-        self._enc_keys = keys
+        # Each table set is (tables, shifts, keys), the byte-table form of the
+        # per-nibble scatter tables (kernels.byte_tables).  The permutation
+        # P(4j+b) = 16b+j sends nibble j+1 one bit above nibble j, so the
+        # encrypt rounds shift byte p by 2p; P^-1 gives 0, 32, 1, 33, ..., 35.
+        self._enc = (*kernels.byte_tables(place[:, sboxes].swapaxes(0, 1)), keys)
         # Equivalent inverse cipher (Daemen & Rijmen, The Design of Rijndael, 2002):
         # P^-1 is linear, so P^-1(x ^ k) = P^-1(x) ^ P^-1(k) and each P^-1 moves
         # ahead of the key XOR that follows it.  Table round 0 is P^-1 alone with
         # key 0; round i in 1..R-1 XORs P^-1(k[R-i+1]), inverts S-box R-i and
-        # applies P^-1; round R XORs P^-1(k[1]) and inverts S-box 0; k[0] whitens.
-        self._dec = np.stack(
+        # applies P^-1; round R XORs P^-1(k[1]) and inverts S-box 0 (an identity
+        # scatter, shifts 8p); k[0] whitens.
+        dec_tables, dec_shifts = kernels.byte_tables(np.stack(
             [inv_place]
             + [inv_place[:, inv] for inv in inv_sboxes[:0:-1]]
             + [trails.scatter_table(np.arange(64))[:, inv_sboxes[0]]]
-        )
-        # one keyless table round of P^-1 alone permutes every round key at once
-        inv_keys = kernels.spn_batch(keys, inv_place[None], np.zeros(2, dtype=np.uint64))
-        self._dec_keys = np.concatenate((np.zeros(1, dtype=np.uint64), inv_keys[:0:-1], keys[:1]))
+        ))
+        # table round 0 alone, keyless, permutes every round key at once
+        inv_keys = kernels.spn_batch(keys, dec_tables[:1], dec_shifts[:1], np.zeros(2, dtype=np.uint64))
+        dec_keys = np.concatenate((np.zeros(1, dtype=np.uint64), inv_keys[:0:-1], keys[:1]))
+        self._dec = (dec_tables, dec_shifts, dec_keys)
         # the same two table sets, wrapped for the single-block evaluator
-        self._enc_block = kernels.spn_block_rounds(self._enc, self._enc_keys)
-        self._dec_block = kernels.spn_block_rounds(self._dec, self._dec_keys)
+        self._enc_block = kernels.spn_block_rounds(*self._enc)
+        self._dec_block = kernels.spn_block_rounds(*self._dec)
 
     # ------------------------------------------------------------- device interface
     @property
@@ -182,7 +185,7 @@ class SucDevice:
 
     def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
         """Ciphertext bits of each plaintext row; a digital device has no noise path."""
-        rows = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
+        rows = bit_matrix(challenges)
         if rows.shape[1] != BLOCK_BITS:
             raise ValueError(f"challenge rows must be {BLOCK_BITS} bits")
         blocks = np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
@@ -191,11 +194,11 @@ class SucDevice:
     # ------------------------------------------------------------- block API
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-        return kernels.spn_batch(blocks, self._enc, self._enc_keys)
+        return kernels.spn_batch(blocks, *self._enc)
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-        return kernels.spn_batch(blocks, self._dec, self._dec_keys)
+        return kernels.spn_batch(blocks, *self._dec)
 
     def encrypt(self, x: BitString) -> BitString:
         if len(x) != BLOCK_BITS:

@@ -2,11 +2,14 @@
 PUF descriptors and enrolled CRP records, all recorded before the device types
 shared one interface (``name``, ``challenge_bits``, ``respond``)."""
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from clonebench import BitString, substream
 from clonebench import protocol, puf, suc
+from clonebench.bitstring import bit_matrix
 from clonebench.environment import EnvironmentConditions
 from clonebench.jsonio import dumps_canonical
 
@@ -109,3 +112,39 @@ def test_enroll_records_known_answer(model):
     got = [(r.challenge.to_hex(), r.response.to_hex()) for r in store.records["kat"]]
     assert got == ENROLLED[model]
     assert not any(r.used for r in store.records["kat"])
+
+
+@pytest.mark.parametrize("model", ["arbiter", "xor", "suc"])
+@pytest.mark.parametrize("value", [2, 256, -1, 0.5])
+def test_challenge_entries_outside_0_1_are_refused(model, value):
+    device = BUILDERS[model]()
+    rows = np.zeros((3, device.challenge_bits))
+    rows[1, 5] = value
+    variants = [rows, rows.tolist()] + [rows.astype(np.int64)] * float(value).is_integer()
+    for challenges in variants:
+        with pytest.raises(ValueError, match="0 or 1"):
+            device.respond(challenges)
+    if value == 2:
+        with pytest.raises(ValueError, match="0 or 1"):
+            device.respond(rows.astype(np.uint8))
+
+
+@pytest.mark.parametrize("model", ["arbiter", "xor", "suc"])
+def test_zero_and_one_challenges_in_any_dtype_answer_alike(model):
+    device = BUILDERS[model]()
+    bits = substream(109, "dtypes").integers(0, 2, (4, device.challenge_bits), dtype=np.uint8)
+    expected = device.respond(bits)
+    for challenges in (bits.astype(bool), bits.astype(np.int64), bits.astype(float), bits.tolist()):
+        assert np.array_equal(device.respond(challenges), expected)
+
+
+def test_uint8_challenges_are_checked_without_a_copy():
+    rows = substream(110, "no-copy").integers(0, 2, (100_000, 64), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        checked = bit_matrix(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked is rows
+    assert peak < 64 * 1024

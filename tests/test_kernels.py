@@ -1,7 +1,11 @@
-"""The numpy kernels: S-box audits against the scalar reference."""
-import numpy as np
+"""The numpy kernels: S-box audits against the scalar reference, and the
+byte-table form of the SPN rounds."""
+import tracemalloc
 
-from clonebench import kernels, substream
+import numpy as np
+import pytest
+
+from clonebench import kernels, substream, suc, trails
 from test_suc import _oracle_maxima
 
 
@@ -30,3 +34,69 @@ def test_audit_chunks_agree_with_one_spectra_call():
     d, w = kernels.sbox_audit_batch(tables)
     assert np.array_equal(d, ddt[:, 1:, 1:].max(axis=(1, 2)))
     assert np.array_equal(w, np.abs(walsh[:, 1:, 1:]).max(axis=(1, 2)))
+
+
+# ----------------------------------------------------------------- SPN byte tables
+def _device(rounds=40):
+    return suc.personalize(suc.SucParams(rounds=rounds), substream(16, "byte-tables"), "bt")
+
+
+def _nibble_tables(perm, sboxes):
+    place = trails.scatter_table(perm)
+    return np.stack([place[:, sbox] for sbox in sboxes])
+
+
+def test_byte_tables_are_the_or_of_nibble_lookups():
+    sboxes = suc.sample_sbox_tables(6, substream(17, "bt-sboxes"))
+    nib = _nibble_tables(suc.DEFAULT_PERMUTATION, sboxes)
+    tables, shifts = kernels.byte_tables(nib)
+    assert tables.shape == (6, 256) and tables.flags.c_contiguous
+    x = np.arange(256)
+    for p in range(8):
+        moved = tables << shifts[:, p, None].astype(np.uint64)
+        assert np.array_equal(moved, nib[:, 2 * p, x & 15] | nib[:, 2 * p + 1, x >> 4])
+
+
+def test_cipher_table_sets_have_the_permutation_shifts():
+    device = _device()
+    enc_tables, enc_shifts, _ = device._enc
+    dec_tables, dec_shifts, _ = device._dec
+    assert (enc_shifts == 2 * np.arange(8)).all()
+    assert (dec_shifts[:-1] == [0, 32, 1, 33, 2, 34, 3, 35]).all()
+    assert (dec_shifts[-1] == 8 * np.arange(8)).all()
+    # 2 KiB of table and 8 bytes of shifts per table round
+    for tables, shifts, _ in (device._enc, device._dec):
+        assert tables.nbytes == 2048 * len(tables) and shifts.nbytes == 8 * len(tables)
+    assert len(enc_tables) == 40 and len(dec_tables) == 41
+
+
+def test_byte_tables_reject_a_random_permutation():
+    perm = np.argsort(substream(18, "bt-perm").random(64))
+    sboxes = suc.sample_sbox_tables(3, substream(19, "bt-sboxes"))
+    with pytest.raises(ValueError, match="not shifts"):
+        kernels.byte_tables(_nibble_tables(perm, sboxes))
+
+
+def test_byte_tables_reject_a_shift_that_drops_a_bit():
+    # byte 0 fills bits 56..63 and byte 1 is byte 0 two bits up, cut at bit 63:
+    # every entry matches a shift of 2, but bits 62 and 63 of byte 0 would
+    # leave the word; bytes 2..7 repeat byte 0
+    v = np.arange(16, dtype=np.uint64)
+    byte0 = np.stack([v << np.uint64(56), v << np.uint64(60)])
+    nib = np.tile(byte0, (1, 8, 1))
+    nib[0, 2:4] = byte0 << np.uint64(2)
+    with pytest.raises(ValueError, match="past bit 63"):
+        kernels.byte_tables(nib)
+
+
+def test_batch_memory_is_four_block_buffers():
+    # the state, the accumulator, the byte index and the shifted lookup, reused every round
+    device = _device()
+    blocks = substream(20, "bt-mem").integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    tracemalloc.start()
+    try:
+        device.encrypt_blocks(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * blocks.nbytes + 64 * 1024
