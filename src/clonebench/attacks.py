@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .bitstring import bit_matrix
 from .jsonio import SCHEMA_VERSION
 from .puf import ArbiterPuf, SramPuf, parity_transform
 from .suc import SucDevice
@@ -98,16 +99,14 @@ def train_model(data: CrpDataset, epochs: int = 500, learning_rate: float = 0.5)
     """
     if len(data) < 10:
         raise ValueError("need at least 10 CRPs to train")
-    if data.challenges.ndim != 2 or data.challenges.shape[0] != data.responses.size:
-        raise ValueError("challenge matrix and response vector disagree")
+    if data.challenges.ndim != 2:
+        raise ValueError("challenges must be a 2-D matrix")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError("learning rate must be finite and > 0")
-    labels = data.responses
+    labels = bit_matrix(data.responses, len(data.challenges))[0]  # one response per challenge row
     ones = labels == 1
-    if not np.all(ones | (labels == 0)):
-        raise ValueError("responses must be 0 or 1")
     features = parity_transform(data.challenges)
     weights = np.zeros(features.shape[1])
     losses = np.zeros(epochs)

@@ -3,6 +3,14 @@
 Bits are ordered most-significant first; hex serialization is lowercase with the
 first bit in the top bit of the first hex digit.  Instances are immutable.
 
+Bits are checked once, where they enter.  :func:`bit_matrix` is the library's
+one 0/1 check: every entry other than 0 or 1 is refused before any cast to
+uint8, so 256 cannot wrap to 0, -1 to 255 or 0.5 to 0.  ``BitString(bits)``,
+:meth:`BitString.rows` and the devices' challenge rows all pass through it.
+Bits the class makes itself (:meth:`from_int`, :meth:`random`, ``^``, the hex
+decoder and the row views :meth:`rows` hands out) are already 0/1 uint8 and
+read-only, so one private wrap stores them with no second check and no copy.
+
 A CRP store holds thousands of records, so the hex codec works a batch at a
 time and the scalar calls are batches of one.  :meth:`BitString.from_hex_batch`
 checks each string as :meth:`BitString.from_hex` does (stripped and
@@ -11,12 +19,8 @@ padding) and decodes them all with one ``np.unpackbits``;
 :meth:`BitString.to_hex_batch` left-aligns the rows in one matrix, packs it
 with one ``np.packbits`` and slices out each row's digits.  :meth:`BitString.rows`
 checks and copies a 0/1 matrix once and hands out its rows as read-only views,
-with no per-row ``__init__``.  On a 4000-CRP store of 64-bit pairs (2-vCPU
-Intel Xeon, Python 3.11, numpy 2.4, median of 9) rebuilding the records from
-the parsed document took 13 ms against 72-80 ms through per-record
-``from_hex``, and building the document 11 ms against 24 ms through
-per-record ``to_hex``.  :meth:`from_int` and :meth:`to_int` work on Python
-ints: the single-block cipher path calls them once per round.
+with no per-row ``__init__``.  :meth:`from_int` and :meth:`to_int` work on
+Python ints: the single-block cipher path calls them once per round.
 """
 from __future__ import annotations
 
@@ -27,12 +31,13 @@ import numpy as np
 _HEX_SET = frozenset("0123456789abcdef")
 
 
-def bit_matrix(rows) -> np.ndarray:
-    """Challenge rows (or one row) as a 2-D uint8 matrix of 0/1.
+def bit_matrix(rows, width: int | None = None) -> np.ndarray:
+    """Bit rows (or one row) as a 2-D uint8 matrix of 0/1.
 
     Any entry other than 0 or 1 is a ValueError, checked before the cast to
     uint8 so that 256 cannot wrap to 0, -1 to 255 or 0.5 to 0.  A uint8 input
-    is checked with one ``max`` and returned without a copy.
+    is checked with one ``max`` and returned without a copy.  With ``width``,
+    rows of any other width are a ValueError too.
     """
     arr = np.asarray(rows)
     if arr.dtype == np.uint8:
@@ -40,33 +45,39 @@ def bit_matrix(rows) -> np.ndarray:
     else:
         bad = not ((arr == 0) | (arr == 1)).all()
     if bad:
-        raise ValueError("challenge bits must be 0 or 1")
-    return np.atleast_2d(arr.astype(np.uint8, copy=False))
+        raise ValueError("bits must be 0 or 1")
+    mat = np.atleast_2d(arr.astype(np.uint8, copy=False))
+    if width is not None and mat.shape[1] != width:
+        raise ValueError(f"rows of {mat.shape[1]} bits where {width} are needed")
+    return mat
 
 
 class BitString:
     __slots__ = ("_bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("BitString needs at least one bit")
-        if arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr = bit_matrix(arr)[0].copy()
+        arr.setflags(write=False)
         self._bits = arr
 
     # ------------------------------------------------------------- constructors
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitString":
-        return cls(rng.integers(0, 2, n, dtype=np.uint8))
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        bits.setflags(write=False)
+        return cls._wrap(bits)
 
     @classmethod
     def from_int(cls, value: int, n_bits: int) -> "BitString":
         if value < 0 or value >> n_bits:
             raise ValueError(f"value does not fit in {n_bits} bits")
-        return cls._unpack(int(value), n_bits)
+        raw = (int(value) << (-n_bits % 8)).to_bytes(-(-n_bits // 8), "big")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_bits)
+        bits.setflags(write=False)
+        return cls._wrap(bits)
 
     @classmethod
     def from_hex(cls, text: str, n_bits: int | None = None) -> "BitString":
@@ -96,13 +107,14 @@ class BitString:
         span = max(digits) + max(digits) % 2  # an even digit count per row
         raw = bytes.fromhex("".join(text.ljust(span, "0") for text in texts))
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), span // 2), axis=1)
+        bits.setflags(write=False)
         if n_bits is None and len(set(digits)) > 1:
             # undeclared widths of four bits per digit differ, and have no padding
-            return [cls(row[: 4 * d]) for row, d in zip(bits, digits)]
+            return [cls._wrap(row[: 4 * d]) for row, d in zip(bits, digits)]
         width = 4 * digits[0] if n_bits is None else n_bits
         if bits[:, width:].any():
             raise ValueError("padding bits past the declared length must be zero")
-        return cls.rows(bits[:, :width])
+        return list(map(cls._wrap, bits[:, :width]))
 
     @classmethod
     def rows(cls, matrix) -> list:
@@ -110,22 +122,19 @@ class BitString:
 
         The rows are views of one read-only copy, so none can be made writeable.
         """
-        arr = np.array(matrix, dtype=np.uint8)
+        arr = np.asarray(matrix)
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ValueError("BitString rows need a 2-D matrix with at least one column")
-        if arr.size and arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        arr.flags.writeable = False
-        out = [object.__new__(cls) for _ in range(len(arr))]
-        for bitstring, row in zip(out, arr):
-            bitstring._bits = row
-        return out
+        arr = bit_matrix(arr).copy()
+        arr.setflags(write=False)
+        return list(map(cls._wrap, arr))
 
     @classmethod
-    def _unpack(cls, value: int, n_bits: int) -> "BitString":
-        """The n_bits low bits of a non-negative int, MSB first."""
-        raw = (value << (-n_bits % 8)).to_bytes(-(-n_bits // 8), "big")
-        return cls(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_bits))
+    def _wrap(cls, bits: np.ndarray) -> "BitString":
+        """A BitString over bits this class made: a read-only 0/1 uint8 vector, not checked or copied."""
+        out = object.__new__(cls)
+        out._bits = bits
+        return out
 
     # ------------------------------------------------------------- views
     @property
@@ -169,7 +178,9 @@ class BitString:
     def __xor__(self, other: "BitString") -> "BitString":
         if len(other) != len(self):
             raise ValueError("length mismatch in xor")
-        return BitString(self._bits ^ other._bits)
+        bits = self._bits ^ other._bits
+        bits.setflags(write=False)
+        return BitString._wrap(bits)
 
     def hamming(self, other: "BitString") -> int:
         if len(other) != len(self):

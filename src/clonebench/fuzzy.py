@@ -11,12 +11,8 @@ the matrix columns ``seed[n-1-j : n-1-j+key_len]`` over the set bits j of the
 input.  A helper's seed never changes, so :attr:`HelperData.toeplitz_table`
 packs those n columns into 64-bit words once per helper
 (:func:`toeplitz_columns`), and each reproduce selects the columns of its
-decoded reading with one ``np.compress`` and XOR-reduces them.  On a 2-vCPU
-Intel Xeon (Python 3.11, numpy 2.4, best of five ``timeit`` repeats) hashing
-the 14208-bit code of the analysis benchmark to a 128-bit key took 62 us per
-call against 0.45 ms for a float64 ``np.convolve`` of seed and input; on the
-255- and 352-bit codes both took 10-14 us.  Building the 14208-bit table
-takes 0.36 ms once per helper and holds 227 KB.
+decoded reading with one ``np.compress`` and XOR-reduces them.  The table of
+a 14208-bit code with a 128-bit key holds 227 KB.
 """
 from __future__ import annotations
 
@@ -43,10 +39,10 @@ class RepetitionParams:
     n_blocks: int
 
     def __post_init__(self):
-        if self.n_rep < 1 or self.n_rep % 2 == 0:
-            raise ValueError("n_rep must be odd and >= 1")
-        if self.n_blocks < 1:
-            raise ValueError("n_blocks must be >= 1")
+        if type(self.n_rep) is not int or self.n_rep < 1 or self.n_rep % 2 == 0:  # bools too
+            raise ValueError("n_rep must be an odd int >= 1")
+        if type(self.n_blocks) is not int or self.n_blocks < 1:
+            raise ValueError("n_blocks must be an int >= 1")
 
     @property
     def code_len(self) -> int:

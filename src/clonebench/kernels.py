@@ -15,25 +15,18 @@ table is the same nibble of byte 0 shifted by its byte's shift, and a second
 check that no shift pushes a bit past bit 63; since a shift distributes over
 OR, ``tables[r, x] << shifts[r, p]`` is then bit for bit the OR of byte p's
 two nibble lookups.  A 40-round set takes 80 KiB of tables and 320 bytes of
-shifts, as the nibble tables took 80 KiB; eight tables per round would take
-640 KiB.
+shifts; eight tables per round would take 640 KiB.
 
-Two evaluators read the format, each with 8 lookups per round where the
-nibble tables took 16.  :func:`spn_batch` runs an array of blocks in numpy,
-with 8 ``take`` calls per round into reused buffers.  :func:`spn_block` runs
-one block on Python ints over memoryviews of the same tables
-(:func:`spn_block_rounds`), so one block does not pay numpy's per-call
-overhead 320 times.  On a 2-vCPU Intel Xeon with Python 3.11 and numpy 2.4
-(timeit, best of 5), one 40-round block took 58 us against 99 us with nibble
-tables, and encrypting plus decrypting 100k blocks 0.17 s against 0.69 s.
+Two evaluators read the format, each with 8 lookups per round.
+:func:`spn_batch` runs an array of blocks in numpy, with 8 ``take`` calls per
+round into reused buffers.  :func:`spn_block` runs one block on Python ints
+over memoryviews of the same tables (:func:`spn_block_rounds`), so one block
+does not pay numpy's per-call overhead 320 times.
 
 :func:`sbox_spectra` derives the full DDT and Walsh tables of a batch of
 S-boxes from one Walsh-Hadamard transform.  Two callers read it: the
 personalization filter :func:`sbox_audit_batch`, and the trail sampler, which
-draws output differences from the DDT rows.  In one traced analysis unit
-(``bench/run.py --workload analysis --trace 1``, same host) the audit of 42752
-tables took 0.12 s (``kernels.sbox_audit.self_s``) against 2.07 s with one
-pass per nonzero input difference and per mask pair.
+draws output differences from the DDT rows.
 """
 import numpy as np
 

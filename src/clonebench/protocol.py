@@ -14,15 +14,7 @@ the batch hex codec of :mod:`clonebench.bitstring` once per column of a device
 entry (only the check that ``used`` is a JSON boolean stays per record), and
 :func:`enroll` draws the missing challenges in one ``rng.integers`` call (when
 their width is a multiple of four bits) and wraps challenges and replies with
-:meth:`BitString.rows`.  In one traced identify unit (``bench/run.py --workload
-identify --seed 2026 --trace 1``, on a 2-vCPU Intel Xeon with Python 3.11) these
-layers took 0.12 s against 0.88 s with per-record codecs and draws: ``bitstring.random.calls`` fell from 20477 to 86
-and ``bitstring.hex.calls`` from 40000 to 0, ``protocol.enroll.self_s`` from
-0.172 to 0.060 s and ``protocol.store_load.self_s`` from 0.049 to 0.031 s.
-Over 10 alternating pairs of the untraced run (``--seconds 20``), whose store
-checkpoints between rounds save, reload and refill a 4000- and a 1000-CRP
-store, ``ops_per_s`` rose from 2105 to 3430 and ``setup_s`` fell from 0.50 to
-0.28 s.
+:meth:`BitString.rows`.
 
 A pinned challenge is found through an index, not a scan.  The store keeps one
 lookup state per device beside its records: the record list as last seen
@@ -33,15 +25,11 @@ state up to date under the lock: records appended since, by :func:`enroll` or a
 caller, join the index, a replaced or shortened list starts afresh, and a
 device without records keeps no state.  The answers are those of a scan from
 the start of the list as long as a device's list is only appended to or
-replaced whole; a record edited or reordered in place is not seen.  On the host
-above the index takes 37 bytes a record (0.15 MB for 4000), built in 2.6 ms by
-the first pinned lookup after a store is loaded or replaced; a replayed
-challenge is then refused in 1.8 us against 0.76 ms for the scan.  Over 10
-alternating pairs of the untraced run at seed 2026, identify's ``op_tail_ms``
-fell from 1.41 to 0.38 ms (pinned and replay class p50 1.34/1.12 ms to
-0.15/0.005 ms).  :func:`load_store` refuses a device that holds a challenge
-twice, which ``consume_next`` would hand out twice; the check costs about 1 ms
-per 4000-record load.
+replaced whole; a record edited or reordered in place is not seen.  The index
+takes 37 bytes a record (0.15 MB for 4000) and is built by the first pinned
+lookup after a store is loaded or replaced.  :func:`load_store` refuses a
+device that holds a challenge twice, which ``consume_next`` would hand out
+twice; the check costs about 1 ms per 4000-record load.
 """
 from __future__ import annotations
 

@@ -127,16 +127,9 @@ def arbiter_new(n_stages: int, seed: int, noise_sigma: float = 0.0) -> ArbiterPu
     return ArbiterPuf(n_stages, delays, weights, float(noise_sigma), int(seed))
 
 
-def _challenge_matrix(puf: ArbiterPuf, challenges) -> np.ndarray:
-    mat = bit_matrix(challenges)
-    if mat.shape[1] != puf.n_stages:
-        raise ValueError(f"challenge length {mat.shape[1]} != {puf.n_stages} stages")
-    return mat
-
-
 def arbiter_eval_batch(puf: ArbiterPuf, challenges, env=NOMINAL, rng=None) -> np.ndarray:
     """Responses for (N, n_stages) challenge rows; rng=None means zero noise."""
-    mat = _challenge_matrix(puf, challenges)
+    mat = bit_matrix(challenges, puf.n_stages)
     delta = parity_transform(mat) @ puf.weights
     if rng is not None and puf.noise_sigma > 0:
         delta = delta + rng.normal(0.0, puf.noise_sigma * env_scale(env), delta.shape)

@@ -30,7 +30,7 @@ def sram_ber_experiment(seed: int) -> dict:
     reference = puf.sram_reference(device).bits
     rows = []
     passed = True
-    for temp, target in ((-40.0, 0.08), (25.0, 0.06), (85.0, 0.08)):
+    for temp, target in puf.SRAM_BER_ANCHORS:
         env = EnvironmentConditions(temperature_c=temp)
         startup = puf.sram_startup(device, env, _sub(seed, "sram-noise", temp)).bits
         ber = float(np.mean(startup != reference))

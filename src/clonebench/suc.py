@@ -49,8 +49,8 @@ class SucParams:
     permutation = DEFAULT_PERMUTATION
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if type(self.rounds) is not int or self.rounds < 1:  # bools too
+            raise ValueError("rounds must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,7 @@ class SucDevice:
 
     def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
         """Ciphertext bits of each plaintext row; a digital device has no noise path."""
-        rows = bit_matrix(challenges)
-        if rows.shape[1] != BLOCK_BITS:
-            raise ValueError(f"challenge rows must be {BLOCK_BITS} bits")
+        rows = bit_matrix(challenges, BLOCK_BITS)
         blocks = np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
         return np.unpackbits(self.encrypt_blocks(blocks).astype(">u8").view(np.uint8))
 

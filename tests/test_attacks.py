@@ -153,12 +153,21 @@ def test_train_refuses_settings_it_cannot_train_with(kwargs):
         attacks.train_model(data, **kwargs)
 
 
-@pytest.mark.parametrize("bad", [2, 0.5, -1.0, float("nan")])
+@pytest.mark.parametrize("bad", [2, 256, 0.5, -1.0, float("nan")])
 def test_train_refuses_responses_outside_0_1(bad):
     challenges = substream(45, "d").integers(0, 2, (200, 16), dtype=np.uint8)
-    responses = (challenges[:, 0] == 1).astype(np.float64)
-    responses[7] = bad
-    with pytest.raises(ValueError, match="0 or 1"):
+    for dtype in (np.float64, np.int64)[: 1 + float(bad).is_integer()]:
+        responses = (challenges[:, 0] == 1).astype(dtype)
+        responses[7] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            attacks.train_model(attacks.CrpDataset(challenges, responses, "bad"))
+
+
+@pytest.mark.parametrize("shape", [(199,), (201,), (200, 1)])
+def test_train_refuses_responses_that_do_not_match_the_challenge_rows(shape):
+    challenges = substream(46, "d").integers(0, 2, (200, 16), dtype=np.uint8)
+    responses = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match="where 200 are needed"):
         attacks.train_model(attacks.CrpDataset(challenges, responses, "bad"))
 
 

@@ -178,6 +178,51 @@ def test_rows_match_per_row_construction_and_stay_read_only_property(n_rows, n_c
             BitString.rows(arr)
 
 
+@pytest.mark.parametrize(
+    "value, form",
+    [(v, f) for v in (2, 256, -1, 0.5) for f in ("int64", "float", "list") if f != "int64" or v != 0.5],
+)
+def test_entries_outside_0_1_are_refused_before_any_cast(value, form):
+    # 256 would wrap to 0 and 0.5 truncate to 0 in a uint8 cast
+    row = np.array([0, 1, value, 1], dtype=np.int64 if form == "int64" else float)
+    matrix = np.stack([np.zeros_like(row), row])
+    if form == "list":
+        row, matrix = [0, 1, value, 1], matrix.tolist()
+    with pytest.raises(ValueError, match="0 or 1"):
+        BitString(row)
+    with pytest.raises(ValueError, match="0 or 1"):
+        BitString.rows(matrix)
+
+
+@st.composite
+def _made_by_the_class(draw):
+    """A BitString from each constructor that wraps the class's own bits unchecked."""
+    n_bits = draw(st.integers(min_value=1, max_value=200))
+    value, other = (draw(st.integers(min_value=0, max_value=(1 << n_bits) - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(["from_int", "random", "xor", "hex", "hex-undeclared"]))
+    if kind == "from_int":
+        return BitString.from_int(value, n_bits)
+    if kind == "random":
+        return BitString.random(n_bits, substream(value, "made"))
+    if kind == "xor":
+        return BitString.from_int(value, n_bits) ^ BitString.from_int(other, n_bits)
+    texts = BitString.to_hex_batch([BitString.from_int(value, n_bits), BitString.from_int(other, n_bits)])
+    if kind == "hex":
+        return BitString.from_hex_batch(texts, n_bits)[draw(st.integers(0, 1))]
+    # undeclared and of different widths, so each row is cut to its own width
+    return BitString.from_hex_batch([texts[0], texts[1] + "f"])[draw(st.integers(0, 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_made_by_the_class())
+def test_bits_the_class_makes_pass_the_check_and_are_read_only_property(made):
+    assert made == BitString(made.bits)
+    assert made.bits.dtype == np.uint8 and made.bits.ndim == 1
+    assert not made.bits.flags.writeable
+    with pytest.raises(ValueError):
+        made.bits[0] = 1
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (4,), (2, 2, 2)])
 def test_rows_rejects_zero_width_and_non_matrices(shape):
     with pytest.raises(ValueError):

@@ -490,6 +490,33 @@ def test_helper_with_key_len_below_one_or_bool_exits_3(tmp_path, capsys, key_len
     assert cli.main(["fe", "reproduce", "--input-hex", "abc", "--helper", mutated]) == 3
 
 
+def test_device_with_bool_rounds_exits_3(tmp_path, capsys):
+    # JSON true equals 1 in Python, so a 1-round device read it as its round count
+    dev = tmp_path / "dev.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "b", "--rounds", "1", "--seed", "82", "--device-out", str(dev))
+    block = ["--block-hex", "0123456789abcdef"]
+    assert cli.main(["suc", "encrypt", "--device", str(dev)] + block) == 0
+    doc = json.loads(dev.read_text())
+    doc["params"]["rounds"] = True
+    mutated = _write_doc(tmp_path / "mutated.json", doc)
+    assert cli.main(["suc", "encrypt", "--device", mutated] + block) == 3
+
+
+@pytest.mark.parametrize("field", ["n_rep", "n_blocks"])
+def test_helper_with_bool_repetition_params_exits_3(tmp_path, capsys, field):
+    helper = tmp_path / "helper.json"
+    code, _ = run_cli(
+        capsys, "fe", "generate", "--n-rep", "1", "--blocks", "1", "--input-hex", "8",
+        "--key-len", "8", "--helper-out", str(helper), "--seed", "83",
+    )
+    assert code == 0
+    assert cli.main(["fe", "reproduce", "--input-hex", "8", "--helper", str(helper)]) == 0
+    doc = json.loads(helper.read_text())
+    doc[field] = True
+    mutated = _write_doc(tmp_path / "mutated.json", doc)
+    assert cli.main(["fe", "reproduce", "--input-hex", "8", "--helper", mutated]) == 3
+
+
 def test_malformed_fingerprint_file_exit_code(tmp_path, capsys):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"

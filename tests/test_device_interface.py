@@ -129,6 +129,17 @@ def test_challenge_entries_outside_0_1_are_refused(model, value):
             device.respond(rows.astype(np.uint8))
 
 
+@pytest.mark.parametrize("model", ["arbiter", "arbiter-63", "xor", "suc"])
+def test_challenge_rows_of_another_width_are_refused(model):
+    device = puf.arbiter_new(63, 111) if model == "arbiter-63" else BUILDERS[model]()
+    n = device.challenge_bits
+    assert device.respond(np.zeros((2, n), dtype=np.uint8)).size == 2 * (64 if model == "suc" else 1)
+    for width in (n - 1, n + 1, 2 * n):
+        for rows in (np.zeros((2, width), dtype=np.uint8), np.zeros(width).tolist()):
+            with pytest.raises(ValueError, match=f"{width} bits where {n}"):
+                device.respond(rows)
+
+
 @pytest.mark.parametrize("model", ["arbiter", "xor", "suc"])
 def test_zero_and_one_challenges_in_any_dtype_answer_alike(model):
     device = BUILDERS[model]()

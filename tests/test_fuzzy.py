@@ -46,8 +46,9 @@ def test_design_infeasible():
 def test_params_validation():
     with pytest.raises(ValueError):
         fuzzy.RepetitionParams(4, 2)  # even
-    with pytest.raises(ValueError):
-        fuzzy.RepetitionParams(3, 0)
+    for n_rep, n_blocks in ((3, 0), (True, 1), (1, True), (3.0, 1)):
+        with pytest.raises(ValueError):
+            fuzzy.RepetitionParams(n_rep, n_blocks)
 
 
 # ----------------------------------------------------------------- generate / reproduce

@@ -170,8 +170,9 @@ def test_key_schedule_spreads_key_bits():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        suc.SucParams(rounds=0)
+    for rounds in (0, True, 4.0):
+        with pytest.raises(ValueError):
+            suc.SucParams(rounds=rounds)
     # the cipher class is fixed except for its round count
     assert [f.name for f in dataclasses.fields(suc.SucParams)] == ["rounds"]
     with pytest.raises(TypeError):
