@@ -107,7 +107,7 @@ def train_model(data: CrpDataset, epochs: int = 500, learning_rate: float = 0.5)
         raise ValueError("learning rate must be finite and > 0")
     labels = bit_matrix(data.responses, len(data.challenges))[0]  # one response per challenge row
     ones = labels == 1
-    features = parity_transform(data.challenges)
+    features = parity_transform(bit_matrix(data.challenges))
     weights = np.zeros(features.shape[1])
     losses = np.zeros(epochs)
     p = np.empty(labels.size)  # probability of response 1, then the residual
@@ -129,7 +129,8 @@ def train_model(data: CrpDataset, epochs: int = 500, learning_rate: float = 0.5)
 
 
 def predict(model: LinearModel, challenges: np.ndarray) -> np.ndarray:
-    return (parity_transform(challenges) @ model.weights > 0).astype(np.uint8)
+    features = parity_transform(bit_matrix(challenges, model.weights.size - 1))
+    return (features @ model.weights > 0).astype(np.uint8)
 
 
 def eval_model(model: LinearModel, target, n_test: int, rng) -> AttackReport:

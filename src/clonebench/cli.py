@@ -29,16 +29,16 @@ EXIT_DATA = 3
 
 
 # --------------------------------------------------------------------------- puf
-def _build_puf(args, seed):
-    model = args.model
+def _build_puf(model, args, seed, noise_sigma=0.0):
+    """The PUF a ``--model`` or ``--target`` name stands for, sized by the verb's flags."""
     if model == "arbiter":
-        return puf.arbiter_new(args.stages, seed, args.noise_sigma)
+        return puf.arbiter_new(args.stages, seed, noise_sigma)
     if model == "xor":
-        return puf.xor_arbiter_new(args.stages, args.k, seed, args.noise_sigma)
+        return puf.xor_arbiter_new(args.stages, args.k, seed, noise_sigma)
     if model == "ro":
-        return puf.ro_new(args.oscillators, seed, args.noise_sigma)
+        return puf.ro_new(args.oscillators, seed, noise_sigma)
     if model == "sram":
-        if args.noise_sigma:
+        if noise_sigma:
             raise ValueError("--model sram takes its noise from calibrated anchors, not --noise-sigma")
         return puf.sram_new(args.cells, seed)
     raise ValueError(f"unknown model {model}")
@@ -51,7 +51,7 @@ def _puf_challenges(device, n, rng):
 
 
 def cmd_puf_simulate(args):
-    device = _build_puf(args, args.seed)
+    device = _build_puf(args.model, args, args.seed, args.noise_sigma)
     env = EnvironmentConditions(args.temp, args.volt)
     rng = substream(args.seed, "puf-simulate")
     challenges = _puf_challenges(device, args.challenges, rng)
@@ -65,9 +65,6 @@ def cmd_puf_simulate(args):
         "response_bits": int(noisy.size),
         "ber_vs_reference": float(np.mean(noisy != reference)),
     }
-    if args.save:
-        puf.save_puf(device, args.save)
-        log.info("device descriptor written to %s", args.save)
     return result, EXIT_OK
 
 
@@ -76,7 +73,7 @@ def cmd_puf_metrics(args):
     devices = []
     for i in range(args.devices):
         dev_seed = int(substream(args.seed, "puf-metrics-device", i).integers(0, 2**63))
-        devices.append(_build_puf(args, dev_seed))
+        devices.append(_build_puf(args.model, args, dev_seed, args.noise_sigma))
     challenges = _puf_challenges(devices[0], args.challenges, rng)
     return metrics.uniqueness(devices, challenges).to_json(), EXIT_OK
 
@@ -84,11 +81,14 @@ def cmd_puf_metrics(args):
 # --------------------------------------------------------------------------- fe
 def cmd_fe_design(args):
     params = fuzzy.design_repetition(args.ber, args.fail_target, args.blocks)
+    leak_bits = fuzzy.sketch_leak_bits(params)
     return {
         "n_rep": params.n_rep,
         "n_blocks": params.n_blocks,
         "code_len": params.code_len,
-        "leak_bits": fuzzy.sketch_leak_bits(params),
+        "leak_bits": leak_bits,
+        # the key budget when every input bit is fully random
+        "key_budget_bits": fuzzy.entropy_accounting(params.code_len, leak_bits),
     }, EXIT_OK
 
 
@@ -276,15 +276,11 @@ def cmd_combined_verify(args):
 
 # --------------------------------------------------------------------------- attacks
 def cmd_attack_model(args):
-    if args.target == "arbiter":
-        target = puf.arbiter_new(args.stages, args.seed)
-    elif args.target == "xor":
-        target = puf.xor_arbiter_new(args.stages, args.k, args.seed)
-    elif args.target == "suc":
+    if args.target == "suc":
         device = suc.personalize(suc.SucParams(), substream(args.seed, "attack-target"), "attack-target")
         target = attacks.SucBitTarget(device)
     else:
-        raise ValueError(f"unknown target {args.target}")
+        target = _build_puf(args.target, args, args.seed)
     data = attacks.collect_crps(target, args.train, substream(args.seed, "attack-train"))
     model = attacks.train_model(data, args.epochs, args.lr)
     report = attacks.eval_model(model, target, args.test, substream(args.seed, "attack-test"))
@@ -308,7 +304,7 @@ def _add_common(sp, handler, draws=True, seed_default=None):
         help_text = f"run seed (default: {'OS entropy' if seed_default is None else seed_default})"
         sp.add_argument("--seed", type=int, default=seed_default, help=help_text)
     sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
-    sp.add_argument("--out", default=None, help="also write the JSON result to this path")
+    sp.add_argument("--out", default=None, help="also write the JSON result to this path (0600 if it holds a descriptor)")
     sp.set_defaults(handler=handler, leaf=sp)
 
 
@@ -343,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = puf_sub.add_parser("simulate")
     _add_puf_model(ps, challenges=64)
     _add_env(ps)
-    ps.add_argument("--save", default=None, help="write device descriptor JSON here")
     _add_common(ps, cmd_puf_simulate)
     pm = puf_sub.add_parser("metrics")
     _add_puf_model(pm, challenges=128)
@@ -512,8 +507,9 @@ def main(argv=None) -> int:
         result["seed"] = args.seed
     line = dumps_canonical(result)
     print(line)
-    if getattr(args, "out", None):
-        write_json(args.out, result, secret=getattr(args, "unsafe_dump", False))
+    if args.out:
+        # a descriptor rebuilds its device, so a result holding one is secret
+        write_json(args.out, result, secret="descriptor" in result)
     return code
 
 

@@ -9,7 +9,8 @@ Every device type, these PUFs and :class:`clonebench.suc.SucDevice` alike,
 answers one interface: ``name``, ``challenge_bits`` (0 when the response takes
 no challenge) and ``respond(challenges, env=NOMINAL, rng=None)``, which returns
 the response bits of each challenge row concatenated into one uint8 vector.
-The PUFs also give a JSON ``descriptor()``; the cipher has no readout path.
+The PUFs also give a JSON ``descriptor()``, whose seed rebuilds the device;
+the cipher has no readout path.
 
 The arbiter model keeps both routes to a response: the exact linear-threshold
 form ``sign(w . phi(c))`` used everywhere, and a direct stage-by-stage race
@@ -24,7 +25,6 @@ import numpy as np
 
 from .bitstring import BitString, bit_matrix
 from .environment import NOMINAL, EnvironmentConditions
-from .jsonio import decoding, read_json, write_json
 from .rng import substream
 
 #: columns of ``stage_delays``: straight top, straight bottom,
@@ -304,37 +304,3 @@ def sram_startup(puf: SramPuf, env: EnvironmentConditions = NOMINAL, rng=None) -
     if rng is not None:
         values = values + rng.normal(0.0, sram_noise_sigma(env), puf.n_cells)
     return BitString((values > 0).astype(np.uint8))
-
-
-# =====================================================================  descriptors
-def device_from_descriptor(doc: dict):
-    model = doc.get("model")
-    params = doc.get("params", {})
-    seed = doc.get("seed")
-    if model == "arbiter":
-        return arbiter_new(params["n_stages"], seed, params.get("noise_sigma", 0.0))
-    if model == "ro":
-        return ro_new(params["m_oscillators"], seed, params.get("meas_sigma", 0.0))
-    if model == "sram":
-        if [tuple(a) for a in params.get("ber_anchors", SRAM_BER_ANCHORS)] != list(SRAM_BER_ANCHORS):
-            raise ValueError(f"SRAM anchors other than the calibration {SRAM_BER_ANCHORS}")
-        return sram_new(params["n_cells"], seed)
-    if model == "xor_arbiter":
-        if params["k"] != len(params["member_seeds"]) or seed != params["member_seeds"][0]:
-            raise ValueError("an XOR descriptor's k and seed must match its member_seeds")
-        return XorArbiter(tuple(
-            arbiter_new(params["n_stages"], s, params.get("noise_sigma", 0.0))
-            for s in params["member_seeds"]
-        ))
-    raise ValueError(f"unknown PUF model: {model!r}")
-
-
-def save_puf(dev, path) -> None:
-    """Write the descriptor 0600: its seed rebuilds the device, so it is clone material."""
-    write_json(path, dev.descriptor(), secret=True)
-
-
-def load_puf(path):
-    doc = read_json(path)
-    with decoding(path):
-        return device_from_descriptor(doc)

@@ -163,6 +163,39 @@ def test_train_refuses_responses_outside_0_1(bad):
             attacks.train_model(attacks.CrpDataset(challenges, responses, "bad"))
 
 
+def test_train_and_predict_refuse_challenges_outside_0_1():
+    challenges = substream(47, "d").integers(0, 2, (200, 16))  # int64
+    responses = challenges[:, 0].astype(np.uint8)
+    challenges[7, 3] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        attacks.train_model(attacks.CrpDataset(challenges, responses, "bad"))
+    model = attacks.LinearModel(np.ones(17), "ones", 0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        attacks.predict(model, np.full((1, 16), 256))
+
+
+_NOT_A_BIT = st.one_of(
+    st.integers(-(2**62), 2**62).filter(lambda v: v not in (0, 1)),
+    st.floats().filter(lambda v: v not in (0.0, 1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=_NOT_A_BIT, row=st.integers(0, 19), col=st.integers(0, 7))
+def test_every_challenge_entry_outside_0_1_is_refused(bad, row, col):
+    dtypes = [np.float64] if isinstance(bad, float) else [np.int64] + [np.uint8] * (2 <= bad <= 255)
+    for dtype in dtypes:
+        challenges = np.zeros((20, 8), dtype=dtype)
+        challenges[row, col] = bad
+        data = attacks.CrpDataset(challenges, np.zeros(20, np.uint8), "bad")
+        with pytest.raises(ValueError, match="0 or 1"):
+            attacks.train_model(data, epochs=1)
+        with pytest.raises(ValueError, match="0 or 1"):
+            attacks.predict(attacks.LinearModel(np.ones(9), "ones", 0), challenges)
+        with pytest.raises(ValueError, match="0 or 1"):
+            puf.arbiter_new(8, 1).respond(challenges)
+
+
 @pytest.mark.parametrize("shape", [(199,), (201,), (200, 1)])
 def test_train_refuses_responses_that_do_not_match_the_challenge_rows(shape):
     challenges = substream(46, "d").integers(0, 2, (200, 16), dtype=np.uint8)

@@ -118,6 +118,32 @@ def test_unsafe_dump_out_file_is_private(tmp_path, capsys):
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
+def test_out_file_without_a_descriptor_is_not_secret(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    old_umask = os.umask(0o022)
+    try:
+        code, _ = run_cli(capsys, "acoustic", "space", "--t", "32", "--k", "20", "--out", str(path))
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    assert "descriptor" not in json.loads(path.read_text())
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_puf_simulate_has_no_save_flag(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, _ = run_cli(capsys, "puf", "simulate", "--model", "sram", "--cells", "64", "--save", str(path))
+    assert code == 2
+    assert not path.exists()
+
+
+def test_fe_design_reports_the_full_entropy_key_budget(capsys):
+    for ber, blocks, budget in (("0.1", "8", 0), ("0.25", "128", 16)):
+        code, out = run_cli(capsys, "fe", "design", "--ber", ber, "--blocks", blocks)
+        assert code == 0
+        assert json.loads(out)["key_budget_bits"] == budget
+
+
 def test_fe_reproduce_fail_exit(tmp_path, capsys):
     helper = tmp_path / "helper.json"
     # 3 * 8 = 24 bits = 6 hex digits

@@ -37,7 +37,7 @@ STATELESS = [
     ("puf-simulate-sram-temp", "puf simulate --model sram --cells 64 --temp -40 --volt 1.3 --seed 104", 0, "077519b5690312afbb5ed1719b168a0b96e2775741c42706d573257de1ae43d1"),
     ("puf-metrics-arbiter", "puf metrics --model arbiter --devices 6 --stages 16 --challenges 16 --seed 105", 0, "e66a1e27b073ccaf4d22c1832dc2147095a98e916fd5a20f34a2d518bcc8b558"),
     ("puf-metrics-ro", "puf metrics --model ro --devices 6 --oscillators 64 --seed 105", 0, "24d55bb4a409f8a198db06c38f0527722b97ef81682a972bb17e71e2a09aed73"),
-    ("fe-design", "fe design --ber 0.1 --blocks 8", 0, "c8348b0778089859dca253ad18ec75f468f4a4215499725079b273a94ec8d6b2"),
+    ("fe-design", "fe design --ber 0.1 --blocks 8", 0, "62728e5968f3319b4bb02f9c0ca2b6045084dfeafda4e34f62393232397fa87a"),
     ("fe-generate", "fe generate --input-hex abcdef --n-rep 3 --blocks 8 --key-len 16 --seed 106", 0, "ebee2e1935b049d484dc662c8b8b96b3f53c343434883bcfaefc9b5e4ddadc67"),
     ("suc-analyze", "suc analyze --rounds 4 --samples 1000 --seed 107", 0, "720d88b43d327e88360bef8618de8a7771b01148739c2b44c39594239ee5b707"),
     ("suc-personalize-dump", "suc personalize --device-id g --rounds 4 --unsafe-dump --seed 108", 0, "5932cf736f93627fe6407781fa0f8bc0da6994153b920501c187d20efc8c6349"),

@@ -41,10 +41,6 @@ KINDS = {
     "device": (_device, suc.load_device),
     "helper": (_helper, fuzzy.load_helper),
     "fingerprint": (_fingerprint, acoustic.load_fingerprint),
-    "arbiter": (lambda p: puf.save_puf(puf.arbiter_new(8, 5, 0.1), p), puf.load_puf),
-    "xor-arbiter": (lambda p: puf.save_puf(puf.xor_arbiter_new(8, 2, 6), p), puf.load_puf),
-    "ro": (lambda p: puf.save_puf(puf.ro_new(8, 7), p), puf.load_puf),
-    "sram": (lambda p: puf.save_puf(puf.sram_new(16, 8), p), puf.load_puf),
 }
 
 

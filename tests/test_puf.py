@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from clonebench import BitString, substream
 from clonebench.environment import NOMINAL, EnvironmentConditions
-from clonebench import puf
-from clonebench.errors import DataFormatError
+from clonebench import cli, puf
 
 
 # ----------------------------------------------------------------- arbiter
@@ -252,84 +251,14 @@ def test_uniqueness_every_model(model):
     assert 0.45 <= mean <= 0.55
 
 
-BUILD = {
-    "arbiter": lambda size, k, seed, sigma: puf.arbiter_new(size, seed, sigma),
-    "xor": lambda size, k, seed, sigma: puf.xor_arbiter_new(size, k, seed, sigma),
-    "ro": lambda size, k, seed, sigma: puf.ro_new(size, seed, sigma),
-    "sram": lambda size, k, seed, sigma: puf.sram_new(size, seed),
-}
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    model=st.sampled_from(sorted(BUILD)),
-    size=st.integers(2, 96),
-    k=st.integers(1, 4),
-    seed=st.integers(0, 2**63 - 1),
-    sigma=st.sampled_from([0.0, 0.2, 1.0]),
-    draw_seed=st.integers(0, 2**32 - 1),
-)
-def test_descriptor_roundtrip(tmp_path_factory, model, size, k, seed, sigma, draw_seed):
-    device = BUILD[model](size, k, seed, sigma)
-    path = tmp_path_factory.mktemp("puf") / "dev.json"
-    puf.save_puf(device, path)
-    for loaded in (puf.device_from_descriptor(device.descriptor()), puf.load_puf(path)):
-        assert loaded.name == device.name
-        assert loaded.challenge_bits == device.challenge_bits
-        bits = device.challenge_bits
-        challenges = substream(draw_seed, "c").integers(0, 2, (32, bits), np.uint8) if bits else None
-        env = EnvironmentConditions(temperature_c=70.0)
-        assert np.array_equal(loaded.respond(challenges), device.respond(challenges))
-        assert np.array_equal(
-            loaded.respond(challenges, env, substream(draw_seed, "n")),
-            device.respond(challenges, env, substream(draw_seed, "n")),
-        )
-
-
-def test_descriptor_file_is_private(tmp_path):
-    # the descriptor's seed rebuilds the device, so the file is clone material
-    path = tmp_path / "dev.json"
+def test_descriptor_file_is_private(tmp_path, capsys):
+    # the descriptor's seed rebuilds the device, so a result file holding it is clone material
+    path = tmp_path / "sim.json"
     old_umask = os.umask(0o022)
     try:
-        puf.save_puf(puf.sram_new(64, 3), path)
+        code = cli.main(["puf", "simulate", "--model", "sram", "--cells", "64", "--seed", "3", "--out", str(path)])
     finally:
         os.umask(old_umask)
+    assert code == 0
+    assert json.loads(path.read_text())["descriptor"] == puf.sram_new(64, 3).descriptor()
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
-
-
-def test_sram_descriptor_with_other_anchors_fails_to_load(tmp_path):
-    path = tmp_path / "sram.json"
-    puf.save_puf(puf.sram_new(64, 3), path)
-    doc = json.loads(path.read_text())
-    doc["params"]["ber_anchors"] = [[25.0, 0.0]]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataFormatError):
-        puf.load_puf(path)
-    del doc["params"]["ber_anchors"]  # a descriptor without anchors takes the calibration
-    path.write_text(json.dumps(doc))
-    assert puf.sram_reference(puf.load_puf(path)) == puf.sram_reference(puf.sram_new(64, 3))
-
-
-@pytest.mark.parametrize("field,value", [("k", 3), ("seed", 999)])
-def test_xor_descriptor_must_agree_with_its_member_seeds(tmp_path, field, value):
-    path = tmp_path / "xor.json"
-    puf.save_puf(puf.xor_arbiter_new(8, 2, 6), path)
-    doc = json.loads(path.read_text())
-    (doc["params"] if field == "k" else doc)[field] = value
-    with pytest.raises(ValueError, match="member_seeds"):
-        puf.device_from_descriptor(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataFormatError, match="member_seeds"):
-        puf.load_puf(path)
-
-
-def test_load_puf_missing_fields_raise_data_format_error(tmp_path):
-    path = tmp_path / "arbiter.json"
-    puf.save_puf(puf.arbiter_new(16, 3), path)
-    good = json.loads(path.read_text())
-    for mutate in (lambda d: d["params"].pop("n_stages"), lambda d: d.pop("seed")):
-        doc = json.loads(json.dumps(good))
-        mutate(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataFormatError):
-            puf.load_puf(path)
