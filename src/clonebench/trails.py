@@ -16,7 +16,6 @@ import heapq
 import numpy as np
 
 from . import kernels
-from .rng import WordReader
 
 _EXPANSION_CAP = 1 << 22
 
@@ -32,7 +31,10 @@ def validate_permutation(perm) -> np.ndarray:
 
 def scatter_table(dest) -> np.ndarray:
     """(len(dest) // 4, 16) uint64: entry [j][v] holds the set bits b of v moved to dest[4j+b]."""
-    dest = np.asarray(dest, dtype=np.uint64).reshape(-1, 4)
+    dest = np.asarray(dest)
+    if dest.size and not 0 <= dest.min() <= dest.max() < 64:
+        raise ValueError("bit positions must lie in 0..63 to fit a uint64")
+    dest = dest.astype(np.uint64).reshape(-1, 4)
     bits = (np.arange(16)[:, None] >> np.arange(4)) & 1  # bits[v, b]
     moved = np.where(bits[None, :, :], np.uint64(1) << dest[:, None, :], np.uint64(0))
     return np.bitwise_or.reduce(moved, axis=2)
@@ -87,44 +89,52 @@ def min_active_sboxes(perm, rounds: int) -> int:
     raise RuntimeError("trail search exhausted without reaching the final round")
 
 
-def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, rng) -> np.ndarray:
-    """Active-box totals of random concrete differential trails through real S-boxes.
+def _nibbles(x: np.ndarray, n_nibbles: int) -> np.ndarray:
+    """x[..., j]: nibble j (bits 4j..4j+3) of each uint64 in x."""
+    return (x[..., None] >> np.arange(0, 4 * n_nibbles, 4, dtype=np.uint64)) & np.uint64(0xF)
 
-    Round r draws each active nibble's output difference uniformly from the
-    nonzero b with DDT[a][b] > 0 of S-box r, listed in ascending order.  The
-    draws replay ``rng.bytes`` and ``rng.integers`` word for word (see
-    ``WordReader``), so totals and the generator's later state match a
-    sampler that calls them directly.
-    """
+
+def _sample_differences(sboxes, perm, rounds: int, n_trails: int, rng) -> np.ndarray:
+    """(rounds + 1, n_trails) uint64: row r holds each trail's input difference to round r."""
     arr = validate_permutation(perm)
-    if arr.size % 8:  # starting differences are drawn as whole bytes
+    if arr.size % 8:  # the sampler takes whole-byte states
         raise ValueError("permutation length must be a multiple of 8")
+    place = scatter_table(arr)
     sboxes = np.asarray(sboxes, dtype=np.uint8)
     if sboxes.shape[0] < rounds:
         raise ValueError("need one S-box table per round")
     ddt, _ = kernels.sbox_spectra(sboxes[:rounds])
-    compat = [[(np.flatnonzero(row[1:]) + 1).tolist() for row in table] for table in ddt]
-    place = scatter_table(arr).tolist()
-    n_bits = arr.size
-    totals = np.zeros(n_trails, dtype=np.int64)
-    with WordReader(rng) as words:
-        below = words.below
-        for t in range(n_trails):
-            delta = 0
-            while delta == 0:
-                delta = int.from_bytes(words.bytes(n_bits // 8), "big")
-            total = 0
-            for compat_r in compat:
-                out_delta = 0
-                j = 0
-                while delta:
-                    a = delta & 0xF
-                    if a:
-                        total += 1
-                        choices = compat_r[a]
-                        out_delta |= place[j][choices[below(len(choices))]]
-                    delta >>= 4
-                    j += 1
-                delta = out_delta
-            totals[t] = total
-    return totals
+    allowed = ddt > 0  # row a == 0 allows only b == 0: an inactive nibble draws nothing and stays 0
+    allowed[:, 1:, 0] = False  # an active nibble's output is nonzero
+    counts = allowed.sum(axis=2, dtype=np.int64)
+    # outputs[r, a, :counts[r, a]]: the allowed b in ascending order
+    outputs = np.argsort(~allowed, axis=2, kind="stable").astype(np.uint8)
+    nibble = np.arange(place.shape[0])
+    diffs = np.empty((rounds + 1, n_trails), dtype=np.uint64)
+    diffs[0] = rng.integers(1, 2**arr.size, size=n_trails, dtype=np.uint64)
+    for r in range(rounds):
+        a = _nibbles(diffs[r], place.shape[0]).astype(np.intp)
+        b = outputs[r, a, rng.integers(0, counts[r, a])]
+        diffs[r + 1] = np.bitwise_or.reduce(place[nibble, b], axis=1)
+    return diffs
+
+
+def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, rng) -> np.ndarray:
+    """Active-box totals of random concrete differential trails through real S-boxes.
+
+    Each trail starts from a difference drawn uniformly from the nonzero
+    values; round r maps each active nibble a to an output difference drawn
+    uniformly from the nonzero b with DDT[a][b] > 0 of S-box r, which the
+    permutation then moves.  All trails advance together, with one generator
+    call to start and one per round:
+
+    - ``rng.integers(1, 2**n_bits, size=n_trails, dtype=np.uint64)`` for the
+      starting differences;
+    - ``rng.integers(0, counts)`` in round r, where ``counts`` is the int64
+      (n_trails, n_bits // 4) matrix of each nibble's number of allowed
+      outputs (1 for an inactive nibble, whose output is 0), and the draw
+      indexes those outputs in ascending order.
+    """
+    diffs = _sample_differences(sboxes, perm, rounds, n_trails, rng)
+    n_nibbles = len(perm) // 4
+    return np.count_nonzero(_nibbles(diffs[:-1], n_nibbles), axis=(0, 2)).astype(np.int64)

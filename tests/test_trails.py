@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from clonebench import substream
 from clonebench import kernels, suc, trails
-from clonebench.rng import WordReader
 
 
 def test_single_round_needs_one_box():
@@ -93,8 +93,8 @@ def _trail_sboxes():
 @pytest.mark.parametrize(
     "rounds, n_trails, seed, digest",
     [
-        (10, 200, 32, "d4664e200696ed9fb8a065a69e53e1493f30b5ddcbf0f762c9cacb70c25dd50d"),
-        (40, 100, 33, "848d45797ef5c476ad73269340114657b600dd4bcc0f0e777d62ac6a03aa7273"),
+        (10, 200, 32, "4dbc10f42029df4b9a0805686a7b7e74b40e2eecea597cacd74ee01d7c96a3f6"),
+        (40, 100, 33, "1598c4fc307cc7242b9ad82b577b3135d8a217db186e890d28d2b5f4e62fb638"),
     ],
 )
 def test_sampled_trail_totals_pinned(rounds, n_trails, seed, digest):
@@ -105,29 +105,27 @@ def test_sampled_trail_totals_pinned(rounds, n_trails, seed, digest):
 
 
 def _sample_oracle(sboxes, perm, rounds, n_trails, rng):
-    """The trail sampler with a per-table Python DDT and a bit-by-bit output scatter."""
+    """The trail sampler's documented generator calls, with a per-table Python DDT and bit-by-bit nibbles."""
     compat = []
     for sbox in sboxes[:rounds].tolist():
         compat.append([sorted({sbox[x ^ a] ^ sbox[x] for x in range(16)} - {0}) for a in range(16)])
-    totals = []
-    for _ in range(n_trails):
-        delta = 0
-        while delta == 0:
-            delta = int.from_bytes(rng.bytes(len(perm) // 8), "big")
-        total = 0
-        for r in range(rounds):
+    n_nibbles = len(perm) // 4
+    deltas = [int(d) for d in rng.integers(1, 2 ** len(perm), size=n_trails, dtype=np.uint64)]
+    totals = [0] * n_trails
+    for r in range(rounds):
+        inputs = [[(delta >> (4 * j)) & 0xF for j in range(n_nibbles)] for delta in deltas]
+        counts = [[len(compat[r][a]) if a else 1 for a in row] for row in inputs]
+        picks = rng.integers(0, np.array(counts, dtype=np.int64).reshape(n_trails, n_nibbles)).tolist()
+        for t, row in enumerate(inputs):
             out_delta = 0
-            for j in range(len(perm) // 4):
-                a = (delta >> (4 * j)) & 0xF
+            for j, a in enumerate(row):
                 if a:
-                    total += 1
-                    choices = compat[r][a]
-                    b = choices[rng.integers(0, len(choices))]
+                    totals[t] += 1
+                    b = compat[r][a][picks[t][j]]
                     for bit in range(4):
                         if (b >> bit) & 1:
                             out_delta |= 1 << int(perm[4 * j + bit])
-            delta = out_delta
-        totals.append(total)
+            deltas[t] = out_delta
     return totals
 
 
@@ -135,6 +133,7 @@ def _assert_matches_oracle(sboxes, perm, rounds, n_trails, make_rng):
     """Equal totals, and the generator left in the oracle's state with the same next draw."""
     rng, oracle_rng = make_rng(), make_rng()
     totals = trails.sample_trail_actives(sboxes, perm, rounds, n_trails, rng)
+    assert totals.dtype == np.int64
     assert totals.tolist() == _sample_oracle(sboxes, perm, rounds, n_trails, oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert rng.random() == oracle_rng.random()
@@ -157,14 +156,6 @@ def test_sampler_entering_with_buffered_half_word_matches_oracle():
     _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, 10, 20, make_rng)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_sampler_across_read_ahead_chunks_matches_oracle(monkeypatch, chunk):
-    # 10 rounds x 20 trails use about 3000 words, so every chunk size here ends
-    # inside a bytes() draw and inside a Lemire redraw somewhere
-    monkeypatch.setattr(WordReader, "CHUNK", chunk)
-    _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, 10, 20, lambda: substream(37, "chunks"))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -175,8 +166,53 @@ def test_sampler_matches_oracle_for_any_seed(seed, rounds, n_trails):
     _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, rounds, n_trails, lambda: substream(seed, "prop"))
 
 
+@functools.lru_cache(maxsize=None)
+def _default_min_active(rounds):
+    return trails.min_active_sboxes(suc.DEFAULT_PERMUTATION, rounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    rounds=st.integers(min_value=1, max_value=8),
+    n_trails=st.integers(min_value=1, max_value=12),
+)
+def test_sampled_differences_follow_each_rounds_ddt(seed, rounds, n_trails):
+    sboxes = _trail_sboxes()
+    perm = suc.DEFAULT_PERMUTATION
+    ddt, _ = kernels.sbox_spectra(sboxes[:rounds])
+    diffs = trails._sample_differences(sboxes, perm, rounds, n_trails, substream(seed, "prop"))
+    assert diffs.shape == (rounds + 1, n_trails) and diffs[0].all()
+    totals = np.zeros(n_trails, dtype=np.int64)
+    for r in range(rounds):
+        for t in range(n_trails):
+            before, after = int(diffs[r, t]), int(diffs[r + 1, t])
+            # undo the permutation bit by bit: output bit 4j+b of the S-box layer went to perm[4j+b]
+            sbox_out = sum(1 << src for src, dst in enumerate(perm) if (after >> dst) & 1)
+            for j in range(len(perm) // 4):
+                a, b = (before >> (4 * j)) & 0xF, (sbox_out >> (4 * j)) & 0xF
+                if a:
+                    totals[t] += 1
+                    assert b and ddt[r, a, b] > 0
+                else:
+                    assert b == 0
+    assert totals.tolist() == trails.sample_trail_actives(sboxes, perm, rounds, n_trails, substream(seed, "prop")).tolist()
+    assert totals.min() >= _default_min_active(rounds)
+
+
+def test_permutations_wider_than_64_bits_refused():
+    wide = np.arange(128)
+    with pytest.raises(ValueError):
+        trails.scatter_table(wide)
+    with pytest.raises(ValueError):
+        trails.scatter_table([-1, 0, 1, 2])
+    with pytest.raises(ValueError):
+        trails.sample_trail_actives(np.zeros((1, 16), dtype=np.uint8), wide, 1, 10, substream(39, "wide"))
+    assert trails.min_active_sboxes(wide, 3) == 3  # nibble masks of 32 nibbles still fit
+
+
 def test_sampler_needs_whole_bytes():
-    # starting differences are drawn as whole bytes, so nibble 2 of a 12-bit state would never start active
+    # the trail search takes any nibble-aligned width, the sampler whole bytes only
     assert trails.min_active_sboxes(list(range(12)), 1) == 1
     with pytest.raises(ValueError):
         trails.sample_trail_actives(_trail_sboxes(), list(range(12)), 1, 10, substream(38, "short"))
