@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from clonebench import substream
 from clonebench import kernels, suc, trails
+from wordstream import WordReader
 
 
 def test_single_round_needs_one_box():
@@ -105,27 +106,27 @@ def test_sampled_trail_totals_pinned(rounds, n_trails, seed, digest):
 
 
 def _sample_oracle(sboxes, perm, rounds, n_trails, rng):
-    """The trail sampler's documented generator calls, with a per-table Python DDT and bit-by-bit nibbles."""
+    """The trail sampler's documented draws, per nibble from the word stream, with a per-table Python DDT and bit-by-bit nibbles."""
     compat = []
     for sbox in sboxes[:rounds].tolist():
         compat.append([sorted({sbox[x ^ a] ^ sbox[x] for x in range(16)} - {0}) for a in range(16)])
-    n_nibbles = len(perm) // 4
     deltas = [int(d) for d in rng.integers(1, 2 ** len(perm), size=n_trails, dtype=np.uint64)]
     totals = [0] * n_trails
-    for r in range(rounds):
-        inputs = [[(delta >> (4 * j)) & 0xF for j in range(n_nibbles)] for delta in deltas]
-        counts = [[len(compat[r][a]) if a else 1 for a in row] for row in inputs]
-        picks = rng.integers(0, np.array(counts, dtype=np.int64).reshape(n_trails, n_nibbles)).tolist()
-        for t, row in enumerate(inputs):
-            out_delta = 0
-            for j, a in enumerate(row):
-                if a:
-                    totals[t] += 1
-                    b = compat[r][a][picks[t][j]]
-                    for bit in range(4):
-                        if (b >> bit) & 1:
-                            out_delta |= 1 << int(perm[4 * j + bit])
-            deltas[t] = out_delta
+    # each round's integers(0, counts) call, replayed word by word: one draw per
+    # nibble, trail-major, where an inactive nibble has count 1 and draws nothing
+    with WordReader(rng) as words:
+        for r in range(rounds):
+            for t, delta in enumerate(deltas):
+                out_delta = 0
+                for j in range(len(perm) // 4):
+                    a = (delta >> (4 * j)) & 0xF
+                    if a:
+                        totals[t] += 1
+                        b = compat[r][a][words.below(len(compat[r][a]))]
+                        for bit in range(4):
+                            if (b >> bit) & 1:
+                                out_delta |= 1 << int(perm[4 * j + bit])
+                deltas[t] = out_delta
     return totals
 
 
@@ -154,6 +155,14 @@ def test_sampler_entering_with_buffered_half_word_matches_oracle():
         return rng
 
     _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, 10, 20, make_rng)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_sampler_across_read_ahead_chunks_matches_oracle(monkeypatch, chunk):
+    # 10 rounds x 20 trails use about 3000 words, about 300 a round, so every
+    # chunk size here ends inside a round's integers(0, counts) call
+    monkeypatch.setattr(WordReader, "CHUNK", chunk)
+    _assert_matches_oracle(_trail_sboxes(), suc.DEFAULT_PERMUTATION, 10, 20, lambda: substream(37, "chunks"))
 
 
 @settings(max_examples=40, deadline=None)
