@@ -23,6 +23,17 @@ SUC_TARGET_BIT = 0
 #: XOR-arbiter attacks are scoped to at most this many member arbiters
 XOR_ATTACK_MAX_K = 4
 
+#: weight of the ridge term RIDGE/2·‖w‖² in the objective train_model minimises
+RIDGE = 1e-3
+
+#: train_model stops once the Newton decrement falls to this; about where the
+#: objective's float64 rounding can no longer confirm a decrease
+NEWTON_TOL = 1e-16
+
+_HESSIAN_ROWS = 512  # rows per block of the Hessian sum
+_ARMIJO = 1e-4  # share of the predicted decrease a damped step must achieve
+_MAX_HALVINGS = 30
+
 
 # --------------------------------------------------------------------------- targets
 def ArbiterTarget(puf: ArbiterPuf) -> ArbiterPuf:
@@ -88,14 +99,64 @@ def collect_crps(target, n: int, rng) -> CrpDataset:
     return CrpDataset(challenges, target.respond(challenges), target.name)
 
 
-def train_model(data: CrpDataset, epochs: int = 500, learning_rate: float = 0.5) -> LinearModel:
-    """Full-batch gradient descent on the mean cross-entropy from zero weights.
+def _objective(margins: np.ndarray, weights: np.ndarray, spare: np.ndarray) -> float:
+    """Mean log(1 + e^-m) over the margins m plus RIDGE/2·‖w‖²; overwrites ``spare``.
 
-    Deterministic for given inputs.  Each epoch runs in two length-n buffers,
-    and the loss takes one log per sample, the log of the probability the
-    model gives the observed response; for 0/1 responses that equals
-    ``y*log(p+eps) + (1-y)*log(1-p+eps)`` bit for bit, since the other term
-    is a signed zero added to a finite log.
+    log(1 + e^-m) is taken as max(-m, 0) + log 2 - log1p(|tanh(m/2)|): there
+    is no exp to overflow or underflow, however far out a trial step lands.
+    """
+    np.multiply(margins, 0.5, out=spare)
+    np.tanh(spare, out=spare)
+    np.abs(spare, out=spare)
+    np.log1p(spare, out=spare)
+    np.subtract(math.log(2.0), spare, out=spare)
+    np.subtract(spare, margins, out=spare, where=margins < 0)
+    return float(np.mean(spare)) + 0.5 * RIDGE * float(weights @ weights)
+
+
+def _newton_system(features, margins, zeros, weights, spare):
+    """Gradient and Hessian of the objective at the margins; overwrites ``spare``.
+
+    With t = tanh(m/2) the model gives the observed response probability
+    (1 + t)/2.  So the residual p - y of the probability p of response 1 is
+    -(1 - t)/2 where y = 1 and (1 - t)/2 where y = 0, and the Hessian weight
+    p(1 - p) is (1 - t)(1 + t)/4.  The Hessian is summed over blocks of
+    ``_HESSIAN_ROWS`` rows, so no temporary as large as the features is made.
+    """
+    n, k = features.shape
+    np.multiply(margins, 0.5, out=spare)
+    np.tanh(spare, out=spare)
+    grad = np.zeros(k)
+    hess = np.zeros((k, k))
+    block = np.empty((_HESSIAN_ROWS, k))
+    for start in range(0, n, _HESSIAN_ROWS):
+        rows = slice(start, start + _HESSIAN_ROWS)
+        x, t = features[rows], spare[rows]
+        scaled = np.multiply(x, np.sqrt((1.0 - t) * (1.0 + t))[:, None], out=block[: len(x)])
+        hess += scaled.T @ scaled
+        t -= 1.0
+        np.negative(t, out=t, where=zeros[rows])
+        grad += x.T @ t
+    grad *= 0.5 / n
+    grad += RIDGE * weights
+    hess *= 0.25 / n
+    hess[np.diag_indices(k)] += RIDGE
+    return grad, hess
+
+
+def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
+    """Damped Newton's method on the mean cross-entropy plus RIDGE/2·‖w‖², from zero weights.
+
+    Each step solves the (n_bits + 1)-square Newton system H·Δ = g and
+    backtracks from the full step, halving it until the objective falls by
+    at least ``_ARMIJO`` times the decrease the gradient predicts.  Training
+    stops when the Newton decrement gᵀΔ/2 is at most ``NEWTON_TOL``, after
+    ``epochs`` steps, or when ``_MAX_HALVINGS`` halvings find no decrease
+    the objective's rounding can resolve.  ``loss_history`` holds the
+    objective after each step taken.
+
+    Deterministic for given inputs.  Besides the features, a step works in
+    two length-n float buffers and one block of Hessian rows.
     """
     if len(data) < 10:
         raise ValueError("need at least 10 CRPs to train")
@@ -103,29 +164,35 @@ def train_model(data: CrpDataset, epochs: int = 500, learning_rate: float = 0.5)
         raise ValueError("challenges must be a 2-D matrix")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError("learning rate must be finite and > 0")
     labels = bit_matrix(data.responses, len(data.challenges))[0]  # one response per challenge row
-    ones = labels == 1
+    zeros = labels == 0  # where the margin is the negated logit
     features = parity_transform(bit_matrix(data.challenges))
     weights = np.zeros(features.shape[1])
-    losses = np.zeros(epochs)
-    p = np.empty(labels.size)  # probability of response 1, then the residual
-    log_lik = np.empty(labels.size)
-    for epoch in range(epochs):
-        np.matmul(features, weights, out=p)
-        np.negative(p, out=p)
-        np.exp(p, out=p)
-        p += 1.0
-        np.divide(1.0, p, out=p)
-        np.subtract(1.0, p, out=log_lik)
-        np.copyto(log_lik, p, where=ones)
-        log_lik += 1e-12
-        np.log(log_lik, out=log_lik)
-        losses[epoch] = -np.mean(log_lik)
-        p -= labels
-        weights -= learning_rate * (features.T @ p / labels.size)
-    return LinearModel(weights, data.source, len(data), losses)
+    margins = np.zeros(labels.size)  # the logit of each observed response
+    spare = np.empty(labels.size)
+    loss = _objective(margins, weights, spare)
+    losses = []
+    for _ in range(epochs):
+        grad, hess = _newton_system(features, margins, zeros, weights, spare)
+        delta = np.linalg.solve(hess, grad)
+        decrement = 0.5 * float(grad @ delta)
+        if decrement <= NEWTON_TOL:
+            break
+        step = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = weights - step * delta
+            np.matmul(features, trial, out=spare)
+            np.negative(spare, out=spare, where=zeros)
+            trial_loss = _objective(spare, trial, margins)
+            if trial_loss <= loss - _ARMIJO * step * 2.0 * decrement:
+                break
+            step *= 0.5
+        else:
+            break  # the change is below the objective's rounding: nothing left to gain
+        weights, loss = trial, trial_loss
+        margins, spare = spare, margins
+        losses.append(loss)
+    return LinearModel(weights, data.source, len(data), np.array(losses))
 
 
 def predict(model: LinearModel, challenges: np.ndarray) -> np.ndarray:

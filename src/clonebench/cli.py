@@ -282,7 +282,7 @@ def cmd_attack_model(args):
     else:
         target = _build_puf(args.target, args, args.seed)
     data = attacks.collect_crps(target, args.train, substream(args.seed, "attack-train"))
-    model = attacks.train_model(data, args.epochs, args.lr)
+    model = attacks.train_model(data, args.epochs)
     report = attacks.eval_model(model, target, args.test, substream(args.seed, "attack-test"))
     return report.to_json(), EXIT_OK
 
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--stages", type=int, default=64)
     am.add_argument("--k", type=int, default=2)
     am.add_argument("--epochs", type=int, default=500)
-    am.add_argument("--lr", type=float, default=0.5)
     _add_common(am, cmd_attack_model)
     ar = at_sub.add_parser("readout")
     ar.add_argument("--cells", type=int, default=None)

@@ -97,8 +97,6 @@ def _nibbles(x: np.ndarray, n_nibbles: int) -> np.ndarray:
 def _sample_differences(sboxes, perm, rounds: int, n_trails: int, rng) -> np.ndarray:
     """(rounds + 1, n_trails) uint64: row r holds each trail's input difference to round r."""
     arr = validate_permutation(perm)
-    if arr.size % 8:  # the sampler takes whole-byte states
-        raise ValueError("permutation length must be a multiple of 8")
     place = scatter_table(arr)
     sboxes = np.asarray(sboxes, dtype=np.uint8)
     if sboxes.shape[0] < rounds:

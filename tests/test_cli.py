@@ -455,6 +455,7 @@ def test_attack_model_verb_small(capsys):
     assert doc["accuracy"] >= 0.9
 
 
+# a Newton step has no learning rate, so --lr is no longer an option at all
 @pytest.mark.parametrize("flag", ["--epochs=0", "--epochs=-1", "--lr=nan", "--lr=-1"])
 def test_attack_model_refuses_untrainable_settings(capsys, flag):
     argv = ["attack", "model", "--target", "arbiter", "--train", "200", "--test", "200", "--seed", "1"]

@@ -46,9 +46,9 @@ STATELESS = [
     ("acoustic-fingerprint-temp", "acoustic fingerprint --bins 64 --smoothing 0.5 --temp 60 --volt 1.2 --seed 109", 0, "5cd0914a7afe0a21c33838b35280758b62d137f93c221bf7bea3590d6ab145f5"),
     ("acoustic-entropy", "acoustic entropy --devices 100 --bins 64 --seed 110", 0, "5d7b35a13f6036ddda677848946fc94ba559ca23cf4739c3563c068e5e0e3a73"),
     ("acoustic-space", "acoustic space --t 32 --k 20 --p 10", 0, "d2bf69ebe1235d7b2751ac6460fed3832f49ddc410e8fb24e5d0a0ce666d3754"),
-    ("attack-model-arbiter", "attack model --target arbiter --train 300 --test 100 --stages 16 --epochs 30 --seed 111", 0, "5543cde750afc6de0cdbe66856e92335b50050ddd9075a5b2b50b74b30e69820"),
+    ("attack-model-arbiter", "attack model --target arbiter --train 300 --test 100 --stages 16 --epochs 30 --seed 111", 0, "0f94af1ab8db08fac2887378f62887c3d97998ee2ad1f39c0d08f07c45869278"),
     ("attack-model-xor", "attack model --target xor --k 2 --train 300 --test 100 --stages 16 --epochs 30 --seed 111", 0, "9469a5e9d6c16a31dd142af60cb069393ff46dcd6a1c694530af62efa93f0e0c"),
-    ("attack-model-suc", "attack model --target suc --train 300 --test 100 --epochs 30 --seed 111", 0, "45f2b9e7aebebbba5778ba083e9d252fc5526f653330becf440a9995db91e721"),
+    ("attack-model-suc", "attack model --target suc --train 300 --test 100 --epochs 30 --seed 111", 0, "21fe3b7b556facbce10753e42289db50ff00e9effb6d80836bd7be0ce4d86f0a"),
     ("attack-readout", "attack readout --seed 112", 0, "86d749872dc72823e593a31655413cdc91f0161eac1923ba2bfcf6557d99a717"),
     ("repro-challenge-space", "repro challenge-space --seed 113", 0, "7c6653ab2948e41239028eb639caf89315466a03b5980772dfd2d0f65d0e12a4"),
 ]

@@ -220,11 +220,14 @@ def test_permutations_wider_than_64_bits_refused():
     assert trails.min_active_sboxes(wide, 3) == 3  # nibble masks of 32 nibbles still fit
 
 
-def test_sampler_needs_whole_bytes():
-    # the trail search takes any nibble-aligned width, the sampler whole bytes only
-    assert trails.min_active_sboxes(list(range(12)), 1) == 1
-    with pytest.raises(ValueError):
-        trails.sample_trail_actives(_trail_sboxes(), list(range(12)), 1, 10, substream(38, "short"))
+def test_sampler_takes_nibble_aligned_widths():
+    # 12 bits is three nibbles but not whole bytes; the trail search takes it too
+    perm = substream(38, "short").permutation(12)
+    for rounds in (1, 4, 9):
+        totals = trails.sample_trail_actives(_trail_sboxes(), perm, rounds, 200, substream(39, "short"))
+        assert totals.shape == (200,)
+        assert totals.min() >= trails.min_active_sboxes(perm, rounds)
+        assert totals.max() <= 3 * rounds
 
 
 def test_ddt_compatible_outputs_nonempty():
