@@ -97,12 +97,15 @@ def structure_new(seed: int, n_bins: int = 256, smoothing: float = 0.0) -> Struc
     if not 0 <= smoothing < 1:
         raise ValueError("smoothing must be in [0, 1)")
     rng = substream(seed, "structure")
-    fresh = (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)).tolist()
-    carry = math.sqrt(1.0 - smoothing**2)
-    values = [fresh[0]]
-    for x in fresh[1:]:
-        values.append(smoothing * values[-1] + carry * x)
-    response = np.array(values, dtype=complex)
+    response = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    if smoothing:  # at 0 the recurrence 0*h + 1*x is x, bit for bit
+        # h[i] = smoothing*h[i-1] + carry*x[i]: the carry products in numpy, then the
+        # same two IEEE operations per bin, the sum taken in the other (commutative) order
+        response[1:] *= math.sqrt(1.0 - smoothing**2)
+        values = response.tolist()
+        for i in range(1, n_bins):
+            values[i] += smoothing * values[i - 1]
+        response = np.array(values, dtype=complex)
     response.flags.writeable = False
     return StructureModel(response, int(seed))
 
@@ -146,14 +149,22 @@ def challenge_space_bits(spec: ChallengeSpaceSpec) -> float:
 
 def pairwise_distance_stats(bit_matrix: np.ndarray) -> tuple:
     """(mean, sample variance) of fractional Hamming distance over all device pairs."""
-    mat = np.asarray(bit_matrix, dtype=np.float64)
+    mat = np.asarray(bit_matrix)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need a (devices, bits) matrix with >= 2 rows")
-    gram = mat @ mat.T  # BLAS; exact, as 0/1 entries keep every sum <= the bit count < 2^53
+    n, width = mat.shape
+    # Hamming distances ones_i + ones_j - 2 gram_ij from a BLAS Gram of 0/1 entries:
+    # every intermediate is an integer of magnitude <= 2 * width, which float32 holds
+    # exactly up to width 2^23 (float64 up to 2^52), so the distances are exact
+    mat = mat.astype(np.float32 if width <= 2**23 else np.float64)
+    hd = mat @ mat.T
     ones = mat.sum(axis=1)
-    dist = (ones[:, None] + ones[None, :] - 2 * gram) / mat.shape[1]
-    iu = np.triu_indices(mat.shape[0], k=1)
-    values = dist[iu]
+    hd *= -2
+    hd += ones[:, None]
+    hd += ones
+    # the upper triangle in row-major order, as np.triu_indices would gather it
+    values = hd[~np.tri(n, dtype=bool)].astype(np.float64)
+    values /= width
     var = float(values.var(ddof=1)) if values.size > 1 else float("nan")
     return float(values.mean()), var
 

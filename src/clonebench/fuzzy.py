@@ -8,11 +8,14 @@ yielding a wrong key.
 
 Over GF(2) the Toeplitz hash is linear in its input: the key is the XOR of
 the matrix columns ``seed[n-1-j : n-1-j+key_len]`` over the set bits j of the
-input.  A helper's seed never changes, so :attr:`HelperData.toeplitz_table`
-packs those n columns into 64-bit words once per helper
-(:func:`toeplitz_columns`), and each reproduce selects the columns of its
-decoded reading with one ``np.compress`` and XOR-reduces them.  The table of
-a 14208-bit code with a 128-bit key holds 227 KB.
+input.  The enrolled reading is w = sketch XOR repeat(s) for the secret block
+bits s, so its key is T*sketch XOR the XOR, over the blocks b with s_b = 1, of
+block b's n_rep columns.  A helper's sketch and seed never change, so
+:attr:`HelperData.key_table` folds the packed columns (:func:`toeplitz_columns`)
+into T*sketch and one column per block, once per helper; generate and each
+reproduce then XOR at most n_blocks + 1 columns.  The folded table of a
+14208-bit code with 128 blocks and a 128-bit key holds 2 KB (the unfolded
+column table it is built from, 227 KB, is dropped).
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from .jsonio import decoding, read_json, write_json
 MAX_REPETITION = 1023
 DEFAULT_EPSILON = 2.0**-40
 CHECKSUM_BITS = 32  # published in the helper data, so it counts toward the leak
+_T_SKETCH = np.ones(1, dtype=np.uint8)  # selects HelperData.key_table's T*sketch column
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,21 @@ class HelperData:
             raise ValueError(f"checksum must be {CHECKSUM_BITS // 8} bytes")
 
     @cached_property
-    def toeplitz_table(self) -> np.ndarray:
-        """The seed's Toeplitz columns, packed once per helper (see :func:`toeplitz_columns`)."""
-        return toeplitz_columns(self.toeplitz_seed, self.params.code_len, self.key_len)
+    def key_table(self) -> np.ndarray:
+        """Packed key columns, folded once per helper: T*sketch, then one per block.
+
+        A read-only (ceil(key_len/64), n_blocks + 1) uint64 array with zero bits
+        past key_len.  Column 1 + b is the XOR of block b's n_rep Toeplitz
+        columns, so the XOR of columns 0 and 1 + b over the set bits b of s is
+        the key of sketch XOR repeat(s) (:func:`_block_key`).
+        """
+        columns = toeplitz_columns(self.toeplitz_seed, self.params.code_len, self.key_len)
+        blocks = columns.reshape(len(columns), self.params.n_blocks, self.params.n_rep)
+        table = np.column_stack(
+            (_xor_columns(columns, self.sketch.bits), np.bitwise_xor.reduce(blocks, axis=2))
+        )
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -165,10 +181,20 @@ def toeplitz_columns(seed: BitString, n: int, out_len: int) -> np.ndarray:
     return table
 
 
+def _xor_columns(table: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """XOR of the table's columns at the set bits of a 0/1 uint8 vector."""
+    return np.bitwise_xor.reduce(np.compress(bits.view(bool), table, axis=1), axis=1)
+
+
 def _toeplitz_apply(table: np.ndarray, bits: np.ndarray, out_len: int) -> BitString:
     """XOR of the table's columns at the set bits of a 0/1 uint8 vector, as out_len bits."""
-    words = np.bitwise_xor.reduce(np.compress(bits.view(bool), table, axis=1), axis=1)
+    words = _xor_columns(table, bits)
     return BitString(np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:out_len])
+
+
+def _block_key(helper: HelperData, blocks: np.ndarray) -> BitString:
+    """Key of the reading sketch XOR repeat(blocks), for 0/1 uint8 block bits."""
+    return _toeplitz_apply(helper.key_table, np.concatenate((_T_SKETCH, blocks)), helper.key_len)
 
 
 def toeplitz_hash(seed: BitString, data: BitString, out_len: int) -> BitString:
@@ -176,7 +202,7 @@ def toeplitz_hash(seed: BitString, data: BitString, out_len: int) -> BitString:
 
     Builds the packed column table of ``seed`` and XORs the columns at the set
     bits of ``data``.  A caller that hashes many inputs under one seed keeps
-    the table instead, as :class:`HelperData` does.
+    the table instead; :class:`HelperData` keeps it folded by repetition block.
     """
     return _toeplitz_apply(toeplitz_columns(seed, len(data), out_len), data.bits, out_len)
 
@@ -195,7 +221,7 @@ def fe_generate(w: BitString, params: RepetitionParams, key_len: int, rng) -> tu
     sketch = BitString(w.bits ^ repeat_encode(secret_blocks, params.n_rep))
     seed = BitString.random(params.code_len + key_len - 1, rng)
     helper = HelperData(sketch, seed, key_len, params, _checksum(w.bits))
-    return ExtractedKey(_toeplitz_apply(helper.toeplitz_table, w.bits, key_len)), helper
+    return ExtractedKey(_block_key(helper, secret_blocks)), helper
 
 
 def fe_reproduce_detail(w_noisy: BitString, helper: HelperData):
@@ -208,8 +234,7 @@ def fe_reproduce_detail(w_noisy: BitString, helper: HelperData):
     if _checksum(w_est) != helper.checksum:
         return None
     corrected = np.count_nonzero(w_est != w_noisy.bits) / len(w_noisy)
-    key = _toeplitz_apply(helper.toeplitz_table, w_est, helper.key_len)
-    return ReproduceResult(key, corrected)
+    return ReproduceResult(_block_key(helper, blocks), corrected)
 
 
 def fe_reproduce(w_noisy: BitString, helper: HelperData):

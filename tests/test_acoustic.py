@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_structure_matches_scalar_oracle_bytewise(smoothing):
         model = acoustic.structure_new(seed, 256, smoothing)
         assert model.freq_response.tobytes() == _structure_oracle(seed, 256, smoothing).tobytes()
         assert not model.freq_response.flags.writeable
+
+
+@pytest.mark.parametrize("n_bins", [32, 256, 4096])
+def test_unsmoothed_structure_is_the_raw_draw_pair_bytewise(n_bins):
+    for seed in range(10):
+        rng = substream(seed, "structure")
+        re, im = rng.standard_normal(n_bins), rng.standard_normal(n_bins)
+        got = acoustic.structure_new(seed, n_bins, 0.0).freq_response
+        assert got.tobytes() == (re + 1j * im).tobytes()
 
 
 def test_two_seeds_give_distinct_responses():
@@ -178,9 +188,9 @@ def test_dof_iid_control():
     assert not estimate.degenerate
 
 
-def _distance_stats_oracle(mat):
-    """Mean and sample variance of pairwise fractional Hamming distance from an int64 Gram matrix."""
-    mat = np.asarray(mat, dtype=np.int64)
+def _distance_stats_oracle(mat, dtype=np.int64):
+    """Mean and sample variance of pairwise fractional Hamming distance from a Gram matrix."""
+    mat = np.asarray(mat, dtype=dtype)
     gram = mat @ mat.T
     ones = mat.sum(axis=1)
     dist = (ones[:, None] + ones[None, :] - 2 * gram) / mat.shape[1]
@@ -214,6 +224,32 @@ def test_distance_stats_match_int64_gram_oracle(name):
     want = _distance_stats_oracle(mat)
     # equal to the bit, NaN (a single pair has no sample variance) included
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 255, 256, 257])
+@pytest.mark.parametrize("rows", ["random", "two-rows", "identical-rows"])
+def test_distance_stats_match_float64_gram_oracle(width, rows):
+    mat = substream(19, "gram", width).integers(0, 2, (120, width), dtype=np.uint8)
+    if rows == "two-rows":  # one pair: no sample variance
+        mat = mat[:2]
+    elif rows == "identical-rows":  # every distance 0: the degenerate population
+        mat = np.repeat(mat[:1], 40, axis=0)
+    got = acoustic.pairwise_distance_stats(mat)
+    want = _distance_stats_oracle(mat, np.float64)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_dof_estimate_peak_memory():
+    bits = substream(13, "ctl").integers(0, 2, (1000, 256), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        acoustic.dof_estimate(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a float64 Gram and distance matrix gathered with np.triu_indices peaked at 34 MB;
+    # a float32 Gram turned into distances in place and gathered by a mask, at 13 MB
+    assert peak < 20e6
 
 
 def test_dof_degenerate_population_flagged():

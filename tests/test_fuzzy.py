@@ -130,9 +130,57 @@ def test_generate_and_reproduces_build_the_toeplitz_table_once(monkeypatch):
 @pytest.mark.parametrize("key_len", [1, 63, 64, 65, 128, 129])
 def test_toeplitz_table_is_read_only_and_packed(key_len):
     params, _, _, helper = _setup(n_rep=3, n_blocks=7, key_len=key_len)
-    table = helper.toeplitz_table
+    table = helper.key_table
+    words = -(-key_len // 64)
     assert table.dtype == np.uint64 and not table.flags.writeable
-    assert table.nbytes == 8 * -(-key_len // 64) * params.code_len
+    assert table.shape == (words, params.n_blocks + 1)
+    rows = np.ascontiguousarray(table.T).astype("<u8")
+    bits = np.unpackbits(rows.view(np.uint8), bitorder="little").reshape(table.shape[1], -1)
+    assert not bits[:, key_len:].any()
+    assert np.array_equal(bits[0, :key_len], fuzzy.toeplitz_hash(helper.toeplitz_seed, helper.sketch, key_len).bits)
+    columns = fuzzy.toeplitz_columns(helper.toeplitz_seed, params.code_len, key_len)
+    folds = [np.bitwise_xor.reduce(columns[:, b * 3 : b * 3 + 3], axis=1) for b in range(params.n_blocks)]
+    assert np.array_equal(table[:, 1:], np.stack(folds, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_rep=st.integers(0, 7).map(lambda i: 2 * i + 1),
+    n_blocks=st.integers(1, 24),
+    key_len=st.sampled_from([1, 63, 64, 65, 129]),
+    seed=st.integers(0, 2**32 - 1),
+    zero_secret=st.booleans(),
+    data=st.data(),
+)
+def test_folded_keys_equal_toeplitz_hash(n_rep, n_blocks, key_len, seed, zero_secret, data):
+    params = fuzzy.RepetitionParams(n_rep, n_blocks)
+    rng = substream(seed, "fold")
+    w = BitString.random(params.code_len, rng)
+    key, helper = fuzzy.fe_generate(w, params, key_len, _ZeroSecret(rng) if zero_secret else rng)
+    if zero_secret:  # no secret block is set, so the key folds in T*sketch alone
+        assert helper.sketch == w
+    want = fuzzy.toeplitz_hash(helper.toeplitz_seed, w, key_len)
+    assert key.key == want
+    flips = np.zeros(params.code_len, np.uint8)
+    for b in range(n_blocks):  # inside the decoding radius
+        pos = data.draw(st.lists(st.integers(0, n_rep - 1), max_size=n_rep // 2, unique=True))
+        flips[b * n_rep + np.array(pos, dtype=np.int64)] = 1
+    out = fuzzy.fe_reproduce(BitString(w.bits ^ flips), helper)
+    assert out is not None and out.key == want
+
+
+class _ZeroSecret:
+    """A generator whose first ``integers`` draw, fe_generate's secret blocks, is all 0."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, False
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        if not self.drawn:
+            self.drawn = True
+            out[:] = 0
+        return out
 
 
 def test_overweight_block_fails_closed():
