@@ -20,7 +20,7 @@ padding) and decodes them all with one ``np.unpackbits``;
 with one ``np.packbits`` and slices out each row's digits.  :meth:`BitString.rows`
 checks and copies a 0/1 matrix once and hands out its rows as read-only views,
 with no per-row ``__init__``.  :meth:`from_int` and :meth:`to_int` work on
-Python ints: the single-block cipher path calls them once per round.
+Python ints: the single-block cipher path calls them once per block.
 """
 from __future__ import annotations
 

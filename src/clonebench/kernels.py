@@ -19,15 +19,21 @@ shifts; eight tables per round would take 640 KiB.
 
 Two evaluators read the format, each with 8 lookups per round.
 :func:`spn_batch` runs an array of blocks in numpy, with 8 ``take`` calls per
-round into reused buffers.  :func:`spn_block` runs one block on Python ints
-over memoryviews of the same tables (:func:`spn_block_rounds`), so one block
-does not pay numpy's per-call overhead 320 times.
+round into reused buffers.  :func:`spn_block` runs one block on Python ints,
+so one block does not pay numpy's per-call overhead 320 times: each round
+splits its state into bytes with one ``int.to_bytes`` and indexes Python
+sequences of the same tables (:func:`spn_block_rounds`).  Every round of a set
+holds a permutation of one value set, so the rounds share one int object per
+distinct value: a 40-round set retains about 94 KB, where ``tolist()`` copies
+would hold 414 KB and memoryviews would allocate a new int on every lookup.
 
 :func:`sbox_spectra` derives the full DDT and Walsh tables of a batch of
 S-boxes from one Walsh-Hadamard transform.  Two callers read it: the
 personalization filter :func:`sbox_audit_batch`, and the trail sampler, which
 draws output differences from the DDT rows.
 """
+import operator
+
 import numpy as np
 
 # (-1)^popcount(m & v) for 4-bit m, v: the 16x16 Sylvester-Hadamard matrix.  Spectra
@@ -107,12 +113,18 @@ def spn_batch(states, tables, shifts, keys):
 
 def spn_block_rounds(tables, shifts, keys):
     """Wrap a table set for :func:`spn_block`: a (256-entry table, int key,
-    seven int shifts) tuple per round and the int whitening key.  The tables
-    are memoryviews of ``tables``, not copies."""
-    flat = memoryview(tables).cast("B").cast("Q")
+    seven int shifts) tuple per round and the int whitening key.
+
+    Each table is a tuple of Python ints.  All rounds draw their entries from
+    one pool holding one int per distinct value of ``tables``, so a 40-round
+    set retains about 94 KB of tuples and ints rather than 256 ints per round.
+    """
+    values, index = np.unique(tables, return_inverse=True)
+    pool = values.tolist()
     keys = keys.tolist()
     rounds = tuple(
-        (flat[256 * r:256 * (r + 1)], keys[r], *row[1:]) for r, row in enumerate(shifts.tolist())
+        (operator.itemgetter(*row)(pool), key, *shift[1:])
+        for row, key, shift in zip(index.reshape(tables.shape).tolist(), keys, shifts.tolist())
     )
     return rounds, keys[-1]
 
@@ -120,15 +132,16 @@ def spn_block_rounds(tables, shifts, keys):
 def spn_block(state, rounds, out_key):
     """The rounds of :func:`spn_batch` over one block held in a Python int.
 
-    Each round XORs its key, then ORs ``table[byte_p] << s_p`` over the 8
-    bytes (byte 0's shift is 0); out_key whitens the output.
+    Each round XORs its key, splits the state into its 8 bytes, least
+    significant first, and ORs ``table[byte_p] << s_p`` over them (byte 0's
+    shift is 0); out_key whitens the output.  state must lie in
+    0 .. 2**64 - 1: any other int raises OverflowError.
     """
     for t, k, s1, s2, s3, s4, s5, s6, s7 in rounds:
-        state ^= k
+        b0, b1, b2, b3, b4, b5, b6, b7 = (state ^ k).to_bytes(8, "little")
         state = (
-            t[state & 255] | t[state >> 8 & 255] << s1 | t[state >> 16 & 255] << s2
-            | t[state >> 24 & 255] << s3 | t[state >> 32 & 255] << s4
-            | t[state >> 40 & 255] << s5 | t[state >> 48 & 255] << s6 | t[state >> 56] << s7
+            t[b0] | t[b1] << s1 | t[b2] << s2 | t[b3] << s3
+            | t[b4] << s4 | t[b5] << s5 | t[b6] << s6 | t[b7] << s7
         )
     return state ^ out_key
 

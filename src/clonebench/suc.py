@@ -174,7 +174,8 @@ class SucDevice:
         inv_keys = kernels.spn_batch(keys, dec_tables[:1], dec_shifts[:1], np.zeros(2, dtype=np.uint64))
         dec_keys = np.concatenate((np.zeros(1, dtype=np.uint64), inv_keys[:0:-1], keys[:1]))
         self._dec = (dec_tables, dec_shifts, dec_keys)
-        # the same two table sets, wrapped for the single-block evaluator
+        # the same two table sets as tuples of Python ints for the single-block
+        # evaluator; each set's rounds share one int per distinct table value
         self._enc_block = kernels.spn_block_rounds(*self._enc)
         self._dec_block = kernels.spn_block_rounds(*self._dec)
 

@@ -100,3 +100,37 @@ def test_batch_memory_is_four_block_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * blocks.nbytes + 64 * 1024
+
+
+def test_block_rounds_share_one_int_per_table_value():
+    device = _device()
+    for (tables, shifts, keys), (rounds, out_key), n_values in (
+        (device._enc, device._enc_block, 256), (device._dec, device._dec_block, 508),
+    ):
+        assert len(rounds) == len(tables)
+        for r, (t, k, *s) in enumerate(rounds):
+            assert list(t) == tables[r].tolist()
+            assert k == int(keys[r]) and s == shifts[r, 1:].tolist()
+        assert out_key == int(keys[-1])
+        # every round's table permutes one value set, so the rounds share its ints
+        assert len({id(v) for t, *_ in rounds for v in t}) == len(np.unique(tables)) == n_values
+
+
+def test_block_rounds_memory_is_one_int_pool():
+    # 40 tuples of 256 slots and 256 shared ints; tables.tolist() would hold about 414 KB
+    device = _device()
+    tracemalloc.start()
+    try:
+        rounds, _ = kernels.spn_block_rounds(*device._enc)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rounds) == 40 and retained <= 128 * 1024
+
+
+@pytest.mark.parametrize("state", [-1, 2**64])
+def test_block_refuses_a_state_outside_64_bits(state):
+    device = _device()
+    for rounds, out_key in (device._enc_block, device._dec_block):
+        with pytest.raises(OverflowError):
+            kernels.spn_block(state, rounds, out_key)
