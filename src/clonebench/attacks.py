@@ -153,7 +153,8 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
     stops when the Newton decrement gᵀΔ/2 is at most ``NEWTON_TOL``, after
     ``epochs`` steps, or when ``_MAX_HALVINGS`` halvings find no decrease
     the objective's rounding can resolve.  ``loss_history`` holds the
-    objective after each step taken.
+    objective after each step taken.  ``epochs`` is a step cap for library
+    callers; the CLI keeps the default, which the stopping rule ends first.
 
     Deterministic for given inputs.  Besides the features, a step works in
     two length-n float buffers and one block of Hessian rows.

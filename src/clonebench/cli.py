@@ -118,7 +118,7 @@ def cmd_suc_personalize(args):
     result = {
         "device_id": device.device_id,
         "rounds": params.rounds,
-        "key_bits": params.key_bits,
+        "key_bits": suc.KEY_BITS,
     }
     if args.device_out:
         suc.save_device(device, args.device_out)
@@ -282,13 +282,9 @@ def cmd_attack_model(args):
     else:
         target = _build_puf(args.target, args, args.seed)
     data = attacks.collect_crps(target, args.train, substream(args.seed, "attack-train"))
-    model = attacks.train_model(data, args.epochs)
+    model = attacks.train_model(data)
     report = attacks.eval_model(model, target, args.test, substream(args.seed, "attack-test"))
     return report.to_json(), EXIT_OK
-
-
-def cmd_attack_readout(args):
-    return repro.readout_clone_experiment(args.seed, n_cells=args.cells), EXIT_OK
 
 
 # --------------------------------------------------------------------------- repro
@@ -428,11 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--test", type=int, default=2000)
     am.add_argument("--stages", type=int, default=64)
     am.add_argument("--k", type=int, default=2)
-    am.add_argument("--epochs", type=int, default=500)
     _add_common(am, cmd_attack_model)
-    ar = at_sub.add_parser("readout")
-    ar.add_argument("--cells", type=int, default=None)
-    _add_common(ar, cmd_attack_readout)
 
     r = sub.add_parser("repro", help="named acceptance experiments")
     r.add_argument("name", choices=sorted(repro.EXPERIMENTS))

@@ -18,7 +18,8 @@ def write_json(path, obj, secret: bool = False) -> None:
 
     The document goes to a fresh temp file beside ``path``, is fsynced and then
     renamed over ``path``, so a reader or a crash sees the old file or the new
-    one, never a torn one.
+    one, never a torn one.  The directory is fsynced after the rename, so that
+    a power loss cannot undo it and bring back the old file.
     """
     doc = dict(obj)
     doc.setdefault("schema_version", SCHEMA_VERSION)
@@ -34,6 +35,11 @@ def write_json(path, obj, secret: bool = False) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read_json(path) -> dict:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import acoustic, attacks, fuzzy, metrics, protocol, puf, suc, trails
+from . import acoustic, attacks, fuzzy, protocol, puf, suc, trails
 from .bitstring import BitString
 from .environment import EnvironmentConditions
 from .rng import substream
@@ -25,8 +25,8 @@ def _sub(seed, *path):
 
 def sram_ber_experiment(seed: int) -> dict:
     """Calibrated SRAM bit-error rates at the three temperature anchors."""
-    n_cells = 100_000
-    device = puf.sram_new(n_cells, int(_sub(seed, "sram").integers(0, 2**63)))
+    cells = 100_000
+    device = puf.sram_new(cells, int(_sub(seed, "sram").integers(0, 2**63)))
     reference = puf.sram_reference(device).bits
     rows = []
     passed = True
@@ -37,7 +37,7 @@ def sram_ber_experiment(seed: int) -> dict:
         ok = abs(ber - target) <= 0.005
         passed = passed and ok
         rows.append({"temperature_c": temp, "target": target, "measured": ber, "ok": ok})
-    return {"name": "sram-ber", "passed": passed, "cells": n_cells, "rows": rows}
+    return {"name": "sram-ber", "passed": passed, "cells": cells, "rows": rows}
 
 
 def fe_correction_experiment(seed: int) -> dict:
@@ -69,12 +69,12 @@ def suc_bounds_experiment(seed: int) -> dict:
     params = suc.SucParams()
     batch, n_trails = 20_000, 1000
     report = suc.security_report(params, batch, _sub(seed, "sbox-a"))
-    ent_b = suc.sbox_entropy_bits(batch, _sub(seed, "sbox-b"), params)
+    ent_b = suc.sbox_entropy_bits(batch, _sub(seed, "sbox-b"))
     batch_gap = abs(report.sbox_h_bits - ent_b.h_bits)
     active = report.min_active_sboxes
     device = suc.personalize(params, _sub(seed, "trail-dev"), "trail-dev")
     totals = trails.sample_trail_actives(
-        device._sboxes, params.permutation, params.rounds, n_trails, _sub(seed, "trails")
+        device._sboxes, suc.DEFAULT_PERMUTATION, params.rounds, n_trails, _sub(seed, "trails")
     )
     trail_ok = bool(np.all(totals >= active))
     passed = (
@@ -242,17 +242,12 @@ def attack_asymmetry_experiment(seed: int) -> dict:
     }
 
 
-def readout_clone_experiment(seed: int, n_cells: int | None = None) -> dict:
+def readout_clone_experiment(seed: int) -> dict:
     """Full-readout SRAM clone passes fingerprint authentication; the cipher offers no readout."""
     trials = 500
     params = fuzzy.design_repetition(0.06, 1e-3, 32)
-    n_cells = params.code_len if n_cells is None else n_cells
-    if n_cells != params.code_len:
-        params = fuzzy.RepetitionParams(params.n_rep, n_cells // params.n_rep)
-        n_cells = params.code_len
-    target = puf.sram_new(n_cells, int(_sub(seed, "clone-sram").integers(0, 2**63)))
-    enrolled = BitString(puf.sram_reference(target).bits[: params.code_len])
-    key, helper = fuzzy.fe_generate(enrolled, params, 128, _sub(seed, "clone-fe"))
+    target = puf.sram_new(params.code_len, int(_sub(seed, "clone-sram").integers(0, 2**63)))
+    key, helper = fuzzy.fe_generate(puf.sram_reference(target), params, 128, _sub(seed, "clone-fe"))
 
     clone = attacks.readout_clone(target)
     clone_hd = puf.sram_reference(clone).fractional_hamming(puf.sram_reference(target))
@@ -260,8 +255,7 @@ def readout_clone_experiment(seed: int, n_cells: int | None = None) -> dict:
     def auth_rate(device, stream):
         accepted = 0
         for _ in range(trials):
-            reading = puf.sram_startup(device, rng=stream)
-            out = fuzzy.fe_reproduce(BitString(reading.bits[: params.code_len]), helper)
+            out = fuzzy.fe_reproduce(puf.sram_startup(device, rng=stream), helper)
             accepted += out is not None and out.key == key.key
         return accepted / trials
 
@@ -290,7 +284,7 @@ def readout_clone_experiment(seed: int, n_cells: int | None = None) -> dict:
     return {
         "name": "readout-clone",
         "passed": passed,
-        "cells": n_cells,
+        "cells": params.code_len,
         "clone_reference_hd": clone_hd,
         "genuine_auth_rate": genuine_rate,
         "clone_auth_rate": clone_rate,

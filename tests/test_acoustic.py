@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonebench import BitString, substream
+from clonebench import substream
 from clonebench import acoustic
 from clonebench.environment import EnvironmentConditions
 

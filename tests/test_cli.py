@@ -430,6 +430,33 @@ def test_combined_verify_verb(tmp_path, capsys):
     assert doc["entropy_bits"] == 300.0
 
 
+def test_combined_verify_tau_bounds_the_corrected_fraction(tmp_path, capsys):
+    dev = tmp_path / "dev.json"
+    store = tmp_path / "store.json"
+    fp = tmp_path / "fp.json"
+    helper = tmp_path / "helper.json"
+    run_cli(capsys, "suc", "personalize", "--device-id", "tau", "--rounds", "4", "--seed", "65", "--device-out", str(dev))
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store), "--seed", "66")
+    _, out = run_cli(capsys, "acoustic", "fingerprint", "--bins", "96", "--noiseless", "--fingerprint-out", str(fp), "--seed", "67")
+    # enroll a reading 4 bits off, one in each of four 3-bit repetition blocks:
+    # the fingerprint reproduces the key with a corrected fraction of 4/96
+    enrolled = int(json.loads(out)["bits_hex"], 16) ^ 0b001001001001
+    run_cli(
+        capsys, "fe", "generate", "--input-hex", f"{enrolled:024x}", "--n-rep", "3", "--blocks", "32",
+        "--key-len", "16", "--helper-out", str(helper), "--seed", "68",
+    )
+    argv = [
+        "combined-verify", "--device", str(dev), "--store", str(store),
+        "--helper", str(helper), "--fingerprint", str(fp), "--seed", "69",
+    ]
+    code, out = run_cli(capsys, *argv, "--tau", "0.04")
+    assert (code, json.loads(out)["reason"]) == (1, protocol.REASON_MISMATCH)
+    code, out = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["verdict"]) == (0, "accept")
+    for tau in ("0", "0.5"):
+        assert run_cli(capsys, *argv, "--tau", tau) == (2, "")
+
+
 def test_repro_verb_smoke(capsys):
     code, out = run_cli(capsys, "repro", "challenge-space")
     assert code == 0
@@ -448,14 +475,15 @@ def test_puf_metrics_verb(capsys):
 def test_attack_model_verb_small(capsys):
     code, out = run_cli(
         capsys, "attack", "model", "--target", "arbiter", "--train", "1500", "--test", "500",
-        "--stages", "32", "--epochs", "200", "--seed", "54",
+        "--stages", "32", "--seed", "54",
     )
     doc = json.loads(out)
     assert code == 0
     assert doc["accuracy"] >= 0.9
 
 
-# a Newton step has no learning rate, so --lr is no longer an option at all
+# a Newton step has no learning rate and Newton's stopping rule ends training,
+# so neither --lr nor --epochs is an option at all
 @pytest.mark.parametrize("flag", ["--epochs=0", "--epochs=-1", "--lr=nan", "--lr=-1"])
 def test_attack_model_refuses_untrainable_settings(capsys, flag):
     argv = ["attack", "model", "--target", "arbiter", "--train", "200", "--test", "200", "--seed", "1"]

@@ -184,6 +184,31 @@ def test_failed_store_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypa
     assert os.listdir(tmp_path) == ["store.json"]
 
 
+def test_store_write_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    # an unsynced rename can be undone by a power loss, bringing back a store
+    # whose burned record reads unused
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "store.json"
+    protocol.save_store(_enrolled(_device(), 2), path)
+    (_, file_is_dir, _), renamed, dir_sync = events
+    assert not file_is_dir
+    assert renamed == ("replace", str(path))
+    assert dir_sync == ("fsync", True, tmp_path.stat().st_ino)
+
+
 def test_store_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 99, "mode": "forward", "device_id": "x", "records": []}')
