@@ -30,7 +30,7 @@ RIDGE = 1e-3
 #: objective's float64 rounding can no longer confirm a decrease
 NEWTON_TOL = 1e-16
 
-_HESSIAN_ROWS = 512  # rows per block of the Hessian sum
+_BLOCK_ROWS = 512  # feature rows widened to float64 at a time
 _ARMIJO = 1e-4  # share of the predicted decrease a damped step must achieve
 _MAX_HALVINGS = 30
 
@@ -114,29 +114,41 @@ def _objective(margins: np.ndarray, weights: np.ndarray, spare: np.ndarray) -> f
     return float(np.mean(spare)) + 0.5 * RIDGE * float(weights @ weights)
 
 
-def _newton_system(features, margins, zeros, weights, spare):
+def _widened(features, block, starts):
+    """Yield (rows, x): the rows from each start to the next, widened into ``block``.
+
+    ``x`` is a float64 view of ``block``, reused for the next slice.
+    """
+    for start, stop in zip(starts, [*starts[1:], len(features)]):
+        rows = slice(start, stop)
+        x = block[: stop - start]
+        np.copyto(x, features[rows])
+        yield rows, x
+
+
+def _newton_system(features, margins, zeros, weights, spare, block):
     """Gradient and Hessian of the objective at the margins; overwrites ``spare``.
 
     With t = tanh(m/2) the model gives the observed response probability
     (1 + t)/2.  So the residual p - y of the probability p of response 1 is
     -(1 - t)/2 where y = 1 and (1 - t)/2 where y = 0, and the Hessian weight
-    p(1 - p) is (1 - t)(1 + t)/4.  The Hessian is summed over blocks of
-    ``_HESSIAN_ROWS`` rows, so no temporary as large as the features is made.
+    p(1 - p) is (1 - t)(1 + t)/4.  Both are summed over blocks of
+    ``_BLOCK_ROWS`` rows widened into ``block``, so no float64 temporary as
+    large as the features is made.
     """
     n, k = features.shape
     np.multiply(margins, 0.5, out=spare)
     np.tanh(spare, out=spare)
     grad = np.zeros(k)
     hess = np.zeros((k, k))
-    block = np.empty((_HESSIAN_ROWS, k))
-    for start in range(0, n, _HESSIAN_ROWS):
-        rows = slice(start, start + _HESSIAN_ROWS)
-        x, t = features[rows], spare[rows]
-        scaled = np.multiply(x, np.sqrt((1.0 - t) * (1.0 + t))[:, None], out=block[: len(x)])
-        hess += scaled.T @ scaled
+    for rows, x in _widened(features, block, range(0, n, _BLOCK_ROWS)):
+        t = spare[rows]
+        root = np.sqrt((1.0 - t) * (1.0 + t))
         t -= 1.0
         np.negative(t, out=t, where=zeros[rows])
         grad += x.T @ t
+        x *= root[:, None]
+        hess += x.T @ x
     grad *= 0.5 / n
     grad += RIDGE * weights
     hess *= 0.25 / n
@@ -156,8 +168,10 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
     objective after each step taken.  ``epochs`` is a step cap for library
     callers; the CLI keeps the default, which the stopping rule ends first.
 
-    Deterministic for given inputs.  Besides the features, a step works in
-    two length-n float buffers and one block of Hessian rows.
+    Deterministic for given inputs.  Besides the int8 features, a step works
+    in two length-n float64 buffers and one float64 block of
+    ``_BLOCK_ROWS`` + 1 feature rows, which both the Newton system and the
+    trial margins widen their rows into.
     """
     if len(data) < 10:
         raise ValueError("need at least 10 CRPs to train")
@@ -171,10 +185,16 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
     weights = np.zeros(features.shape[1])
     margins = np.zeros(labels.size)  # the logit of each observed response
     spare = np.empty(labels.size)
+    block = np.empty((_BLOCK_ROWS + 1, features.shape[1]))
+    # the trial margins take a lone last row with the rows before it: numpy
+    # computes a one-row matmul by dot, which rounds unlike a taller gemv
+    margin_starts = range(0, labels.size, _BLOCK_ROWS)
+    if labels.size % _BLOCK_ROWS == 1:
+        margin_starts = margin_starts[:-1]
     loss = _objective(margins, weights, spare)
     losses = []
     for _ in range(epochs):
-        grad, hess = _newton_system(features, margins, zeros, weights, spare)
+        grad, hess = _newton_system(features, margins, zeros, weights, spare, block)
         delta = np.linalg.solve(hess, grad)
         decrement = 0.5 * float(grad @ delta)
         if decrement <= NEWTON_TOL:
@@ -182,7 +202,8 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = weights - step * delta
-            np.matmul(features, trial, out=spare)
+            for rows, x in _widened(features, block, margin_starts):
+                np.matmul(x, trial, out=spare[rows])
             np.negative(spare, out=spare, where=zeros)
             trial_loss = _objective(spare, trial, margins)
             if trial_loss <= loss - _ARMIJO * step * 2.0 * decrement:

@@ -15,6 +15,8 @@ the cipher has no readout path.
 The arbiter model keeps both routes to a response: the exact linear-threshold
 form ``sign(w . phi(c))`` used everywhere, and a direct stage-by-stage race
 simulation (``arbiter_eval_path``) that the linear weights are checked against.
+The parity features phi(c) are int8 +-1 (``parity_transform``), a byte per
+entry instead of a float64's eight.
 """
 from __future__ import annotations
 
@@ -96,22 +98,24 @@ def derive_weights(stage_delays: np.ndarray) -> np.ndarray:
 
 
 def parity_transform(challenges: np.ndarray) -> np.ndarray:
-    """Map 0/1 challenges (N, n) to the (N, n+1) parity feature vectors phi.
+    """Map 0/1 challenges (N, n) to the (N, n+1) int8 parity feature vectors phi.
 
-    phi_i = prod_{j >= i} (1 - 2 c_j) and phi_n = 1, built inside the output
-    alone: the signs of the reversed challenges go into a reversed view of
-    its first n columns, and the cumulative product runs in place along that
-    view.  Every product is of +-1, so it is exact in any order.
+    phi_i = prod_{j >= i} (1 - 2 c_j) = 1 - 2 (c_i ^ ... ^ c_{n-1}) and
+    phi_n = 1, built inside the int8 output alone: the reversed challenges go
+    into a reversed view of its first n columns, an XOR prefix runs in place
+    along that view, and each parity p becomes 1 - 2p.  Every entry is +-1,
+    so widening to float64 gives exactly the float products.
     """
     challenges = np.atleast_2d(np.asarray(challenges))
     n_rows, n_bits = challenges.shape
-    feats = np.empty((n_rows, n_bits + 1))
-    feats[:, n_bits] = 1.0
+    feats = np.empty((n_rows, n_bits + 1), dtype=np.int8)
+    feats[:, n_bits] = 1
     # not feats[:, n_bits - 1 :: -1], which is the whole matrix when n_bits == 0
-    signs = feats[:, :n_bits][:, ::-1]
-    np.multiply(challenges[:, ::-1], -2.0, out=signs)
-    signs += 1.0
-    np.cumprod(signs, axis=1, out=signs)
+    parities = feats[:, :n_bits][:, ::-1]
+    np.copyto(parities, challenges[:, ::-1], casting="unsafe")
+    np.bitwise_xor.accumulate(parities, axis=1, out=parities)
+    parities *= -2
+    parities += 1
     return feats
 
 

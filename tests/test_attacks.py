@@ -80,8 +80,8 @@ def test_parity_transform_matches_oracle_bytes(rows, bits, dtype, one_d, seed):
         challenges = challenges[0] if rows else np.zeros(bits, dtype)
     got = puf.parity_transform(challenges)
     want = _parity_transform_oracle(challenges)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape and got.dtype == np.int8
+    assert got.astype(np.float64).tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------- datasets
@@ -152,6 +152,28 @@ def test_train_model_matches_newton_oracle(target):
         np.testing.assert_allclose(model.loss_history, losses, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("rows", [513, 1025, 2049, 2050])
+def test_trial_margins_match_one_float64_product(rows, monkeypatch):
+    # training widens the int8 features a block of rows at a time; every trial's
+    # margins must still be bit for bit those of one float64 product over all rows
+    data = attacks.collect_crps(_arbiter_target(seed=48), rows, substream(49, "d"))
+    seen = []
+    objective = attacks._objective
+
+    def spy(margins, weights, spare):
+        seen.append((margins.copy(), weights.copy()))
+        return objective(margins, weights, spare)
+
+    monkeypatch.setattr(attacks, "_objective", spy)
+    attacks.train_model(data, epochs=3)
+    features = _parity_transform_oracle(data.challenges)
+    assert len(seen) >= 4  # the zero start, then a trial per step
+    for margins, weights in seen[1:]:
+        want = features @ weights
+        np.negative(want, out=want, where=data.responses == 0)
+        assert margins.tobytes() == want.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     rows=st.integers(10, 80),
@@ -194,7 +216,8 @@ def test_noiseless_arbiter_training_raises_no_floating_point_error():
 
 
 def test_feature_and_training_memory_stay_bounded():
-    # the in-place transform allocates only its output; training adds length-n buffers
+    # the in-place transform allocates only its int8 output; training adds
+    # length-n buffers and one float64 block of widened rows
     challenges = substream(43, "m").integers(0, 2, (20_000, 64), dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -209,9 +232,9 @@ def test_feature_and_training_memory_stay_bounded():
     finally:
         tracemalloc.stop()
     n = challenges.shape[0]
-    feature_bytes = n * 65 * 8
+    feature_bytes = n * 65  # one int8 per feature; float64 features are 8x this
     assert transform_peak <= 1.05 * feature_bytes
-    assert train_peak <= feature_bytes + 5 * n * 8
+    assert train_peak <= feature_bytes + 5 * n * 8 + 2**20
 
 
 @pytest.mark.parametrize(
