@@ -1,6 +1,6 @@
-"""Command-line surface: every verb prints one JSON result to stdout and logs
-to stderr.  Exit codes: 0 success/Accept, 1 Reject or failed experiment,
-2 usage error, 3 malformed data file."""
+"""Command-line surface: every verb prints one strict JSON result to stdout, an
+undefined statistic as null, and logs to stderr.  Exit codes: 0 success/Accept,
+1 Reject or failed experiment, 2 usage error, 3 malformed data file."""
 from __future__ import annotations
 
 import argparse
@@ -173,7 +173,7 @@ def cmd_acoustic_entropy(args):
     return {
         "n_devices": args.devices,
         "mean_hd": estimate.mean_hd,
-        "dof_bits": estimate.dof_bits,
+        "dof_bits": None if estimate.degenerate else estimate.dof_bits,
         "degenerate": estimate.degenerate,
     }, EXIT_OK
 
@@ -488,15 +488,15 @@ def main(argv=None) -> int:
             args.seed = fresh_seed()
             log.info("no seed given; drew %d from OS entropy (echoed in output)", args.seed)
         result, code = args.handler(args)
+        if "seed" in args:
+            result["seed"] = args.seed
+        line = dumps_canonical(result)
     except DataFormatError as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
     except (ValueError, TypeError, OSError) as exc:
         log.error("usage error: %s", exc)
         return EXIT_USAGE
-    if "seed" in args:
-        result["seed"] = args.seed
-    line = dumps_canonical(result)
     print(line)
     if args.out:
         # a descriptor rebuilds its device, so a result holding one is secret

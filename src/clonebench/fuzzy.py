@@ -6,16 +6,19 @@ re-derives the key with a seeded Toeplitz hash.  A 32-bit checksum of w rides
 along in the helper data so decoding failures are detected instead of silently
 yielding a wrong key.
 
-Over GF(2) the Toeplitz hash is linear in its input: the key is the XOR of
-the matrix columns ``seed[n-1-j : n-1-j+key_len]`` over the set bits j of the
-input.  The enrolled reading is w = sketch XOR repeat(s) for the secret block
-bits s, so its key is T*sketch XOR the XOR, over the blocks b with s_b = 1, of
-block b's n_rep columns.  A helper's sketch and seed never change, so
-:attr:`HelperData.key_table` folds the packed columns (:func:`toeplitz_columns`)
-into T*sketch and one column per block, once per helper; generate and each
-reproduce then XOR at most n_blocks + 1 columns.  The folded table of a
-14208-bit code with 128 blocks and a 128-bit key holds 2 KB (the unfolded
-column table it is built from, 227 KB, is dropped).
+Over GF(2) the Toeplitz hash is linear in its input: out bit i is the parity
+of sum_j data_j * seed_{i+n-1-j}, one entry of ``np.convolve(seed, data,
+"valid")``, which float64 computes exactly as every sum is at most n < 2^53.
+The enrolled reading is w = sketch XOR repeat(s) for the secret block bits s,
+so its key is T*sketch XOR the XOR, over the blocks b with s_b = 1, of block
+b's n_rep matrix columns ``seed[n-1-j : n-1-j+key_len]``.  Those columns
+cover a run of seed bits, so with c[m] the parity of ``seed[:m]`` block b's
+fold has bit i = c[n - b*n_rep + i] XOR c[n - (b+1)*n_rep + i].  A helper's
+sketch and seed never change, so :attr:`HelperData.key_table` packs T*sketch
+and the block folds into n_blocks + 1 uint64 columns once per helper
+(:func:`_fold_key_table`); generate and each reproduce then XOR at most
+n_blocks + 1 columns.  The table of a 14208-bit code with 128 blocks and a
+128-bit key holds 2 KB, and building it peaks under 0.4 MB.
 """
 from __future__ import annotations
 
@@ -76,28 +79,18 @@ class HelperData:
         """Packed key columns, folded once per helper: T*sketch, then one per block.
 
         A read-only (ceil(key_len/64), n_blocks + 1) uint64 array with zero bits
-        past key_len.  Column 1 + b is the XOR of block b's n_rep Toeplitz
-        columns, so the XOR of columns 0 and 1 + b over the set bits b of s is
-        the key of sketch XOR repeat(s) (:func:`_block_key`).
+        past key_len; bit i of a column sits at bit i % 64 of word i // 64.
+        Column 1 + b is the XOR of block b's n_rep Toeplitz columns, so the XOR
+        of columns 0 and 1 + b over the set bits b of s is the key of
+        sketch XOR repeat(s) (:func:`_block_key`).
         """
-        columns = toeplitz_columns(self.toeplitz_seed, self.params.code_len, self.key_len)
-        blocks = columns.reshape(len(columns), self.params.n_blocks, self.params.n_rep)
-        table = np.column_stack(
-            (_xor_columns(columns, self.sketch.bits), np.bitwise_xor.reduce(blocks, axis=2))
-        )
-        table.flags.writeable = False
-        return table
+        return _fold_key_table(self.toeplitz_seed.bits, self.sketch.bits, self.params, self.key_len)
 
 
 @dataclass(frozen=True)
 class ExtractedKey:
     key: BitString
-
-
-@dataclass(frozen=True)
-class ReproduceResult:
-    key: BitString
-    corrected_fraction: float  # fraction of input bits the decoder had to flip
+    corrected_fraction: float = 0.0  # fraction of input bits the decoder flipped
 
 
 def binomial_tail_gt_half(n: int, p: float) -> Fraction:
@@ -156,55 +149,43 @@ def majority_decode(coded: np.ndarray, params: RepetitionParams) -> np.ndarray:
     return (votes.sum(axis=1) > params.n_rep // 2).astype(np.uint8)
 
 
-def toeplitz_columns(seed: BitString, n: int, out_len: int) -> np.ndarray:
-    """Columns of the out_len x n GF(2) Toeplitz matrix of ``seed``, packed into words.
+def _toeplitz_parity(seed_bits: np.ndarray, data_bits: np.ndarray) -> np.ndarray:
+    """Out bit i = XOR_j data_j & seed_{i+n-1-j} as 0/1 uint8, from one exact float64 convolution."""
+    sums = np.convolve(seed_bits.astype(np.float64), data_bits.astype(np.float64), "valid")
+    return (sums % 2).astype(np.uint8)
 
-    Column j is ``seed[n-1-j : n-1-j+out_len]``; its bit i sits at bit i % 64 of
-    word i // 64.  Returns a read-only (ceil(out_len/64), n) uint64 array whose
-    bits past out_len are zero.
-    """
-    if out_len < 1:
-        raise ValueError("out_len must be >= 1")
-    if len(seed) != n + out_len - 1:
-        raise ValueError(f"seed length {len(seed)} != {n + out_len - 1}")
-    padded = np.zeros(64 * (len(seed) // 64 + 2), dtype=np.uint8)  # a spare word past the seed
-    padded[: len(seed)] = seed.bits
-    packed = np.packbits(padded, bitorder="little").view("<u8")
-    offsets = np.arange(n - 1, -1, -1)  # column j starts at seed bit n-1-j
-    word = (offsets >> 6) + np.arange(-(-out_len // 64))[:, None]
-    shift = (offsets & 63).astype(np.uint64)
-    # (x << 1) << (63 - s) stays defined at s = 0, where x << 64 would not
-    table = (packed[word] >> shift) | ((packed[word + 1] << np.uint64(1)) << (np.uint64(63) - shift))
-    if out_len % 64:
-        table[-1] &= np.uint64((1 << (out_len % 64)) - 1)
+
+def _fold_key_table(seed_bits, sketch_bits, params: RepetitionParams, key_len: int) -> np.ndarray:
+    """:attr:`HelperData.key_table` from the seed's XOR prefix and one convolution."""
+    prefix = np.zeros(len(seed_bits) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(seed_bits, out=prefix[1:])
+    # window k starts at prefix index k * n_rep; reversed, row b starts at n - b * n_rep
+    windows = np.lib.stride_tricks.sliding_window_view(prefix, key_len)[:: params.n_rep][::-1]
+    bits = np.zeros((params.n_blocks + 1, 64 * -(-key_len // 64)), dtype=np.uint8)
+    bits[0, :key_len] = _toeplitz_parity(seed_bits, sketch_bits)
+    np.bitwise_xor(windows[:-1], windows[1:], out=bits[1:, :key_len])
+    table = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little").view("<u8").T)
     table.flags.writeable = False
     return table
 
 
-def _xor_columns(table: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """XOR of the table's columns at the set bits of a 0/1 uint8 vector."""
-    return np.bitwise_xor.reduce(np.compress(bits.view(bool), table, axis=1), axis=1)
-
-
-def _toeplitz_apply(table: np.ndarray, bits: np.ndarray, out_len: int) -> BitString:
-    """XOR of the table's columns at the set bits of a 0/1 uint8 vector, as out_len bits."""
-    words = _xor_columns(table, bits)
-    return BitString(np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:out_len])
-
-
 def _block_key(helper: HelperData, blocks: np.ndarray) -> BitString:
-    """Key of the reading sketch XOR repeat(blocks), for 0/1 uint8 block bits."""
-    return _toeplitz_apply(helper.key_table, np.concatenate((_T_SKETCH, blocks)), helper.key_len)
+    """Key of the reading sketch XOR repeat(blocks), for 0/1 uint8 block bits.
+
+    The XOR of ``key_table`` column 0 and the columns 1 + b of the set blocks b.
+    """
+    selected = np.concatenate((_T_SKETCH, blocks)).view(bool)
+    words = np.bitwise_xor.reduce(np.compress(selected, helper.key_table, axis=1), axis=1)
+    return BitString(np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[: helper.key_len])
 
 
 def toeplitz_hash(seed: BitString, data: BitString, out_len: int) -> BitString:
-    """GF(2) Toeplitz matrix-vector product; out bit i = XOR_j data_j & seed_{i+n-1-j}.
-
-    Builds the packed column table of ``seed`` and XORs the columns at the set
-    bits of ``data``.  A caller that hashes many inputs under one seed keeps
-    the table instead; :class:`HelperData` keeps it folded by repetition block.
-    """
-    return _toeplitz_apply(toeplitz_columns(seed, len(data), out_len), data.bits, out_len)
+    """GF(2) Toeplitz matrix-vector product; out bit i = XOR_j data_j & seed_{i+n-1-j}."""
+    if out_len < 1:
+        raise ValueError("out_len must be >= 1")
+    if len(seed) != len(data) + out_len - 1:
+        raise ValueError(f"seed length {len(seed)} != {len(data) + out_len - 1}")
+    return BitString(_toeplitz_parity(seed.bits, data.bits))
 
 
 def _checksum(bits: np.ndarray) -> bytes:
@@ -224,8 +205,8 @@ def fe_generate(w: BitString, params: RepetitionParams, key_len: int, rng) -> tu
     return ExtractedKey(_block_key(helper, secret_blocks)), helper
 
 
-def fe_reproduce_detail(w_noisy: BitString, helper: HelperData):
-    """Reproduce with decode statistics; returns ReproduceResult or None on checksum FAIL."""
+def fe_reproduce(w_noisy: BitString, helper: HelperData):
+    """Recover the enrolled key and the fraction of bits corrected, or None if decoding failed."""
     if len(w_noisy) != len(helper.sketch):
         raise ValueError(f"input length {len(w_noisy)} != {len(helper.sketch)}")
     offset = w_noisy.bits ^ helper.sketch.bits
@@ -234,13 +215,10 @@ def fe_reproduce_detail(w_noisy: BitString, helper: HelperData):
     if _checksum(w_est) != helper.checksum:
         return None
     corrected = np.count_nonzero(w_est != w_noisy.bits) / len(w_noisy)
-    return ReproduceResult(_block_key(helper, blocks), corrected)
+    return ExtractedKey(_block_key(helper, blocks), corrected)
 
 
-def fe_reproduce(w_noisy: BitString, helper: HelperData):
-    """Recover the enrolled key from a noisy re-reading, or None if decoding failed."""
-    result = fe_reproduce_detail(w_noisy, helper)
-    return None if result is None else ExtractedKey(result.key)
+fe_reproduce_detail = fe_reproduce  # the name protocol imports
 
 
 def entropy_accounting(

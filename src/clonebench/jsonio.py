@@ -9,8 +9,11 @@ SCHEMA_VERSION = 1
 
 
 def dumps_canonical(obj) -> str:
-    """Serialize with sorted keys and fixed separators so equal inputs give equal bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Serialize with sorted keys and fixed separators so equal inputs give equal bytes.
+
+    A NaN or infinite float raises ValueError: the output stays strict JSON.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_json(path, obj, secret: bool = False) -> None:

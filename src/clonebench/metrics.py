@@ -1,6 +1,7 @@
 """Population-level PUF quality metrics: the uniqueness report."""
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,7 +20,9 @@ class PopulationReport:
     dof_bits: float
 
     def to_json(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        """The report's fields; a statistic the population leaves undefined (NaN) is null."""
+        fields = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in asdict(self).items()}
+        return {"schema_version": SCHEMA_VERSION, **fields}
 
 
 def uniqueness(population, challenges=None) -> PopulationReport:

@@ -304,6 +304,8 @@ def combined_verify(
     """
     if not 0 < tau < 0.5:
         raise ValueError("tau must be in (0, 0.5)")
+    if structural_dof_bits is not None and not np.isfinite(structural_dof_bits):
+        raise ValueError("structural_dof_bits must be finite")
     entropy = None if structural_dof_bits is None else float(structural_dof_bits) + suc_key_bits
     code_len = len(structural_helper.sketch)
     if len(fp_measured.bits) < code_len:

@@ -122,8 +122,8 @@ def parity_transform(challenges: np.ndarray) -> np.ndarray:
 def arbiter_new(n_stages: int, seed: int, noise_sigma: float = 0.0) -> ArbiterPuf:
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and >= 0")
     delays = substream(seed, "arbiter", "delays").standard_normal((n_stages, 4))
     delays.flags.writeable = False
     weights = derive_weights(delays)
@@ -230,8 +230,8 @@ class RoPuf:
 def ro_new(m_oscillators: int, seed: int, meas_sigma: float = 0.0) -> RoPuf:
     if m_oscillators < 2:
         raise ValueError("need at least two oscillators")
-    if meas_sigma < 0:
-        raise ValueError("meas_sigma must be >= 0")
+    if not 0 <= meas_sigma < math.inf:
+        raise ValueError("meas_sigma must be finite and >= 0")
     freqs = substream(seed, "ro", "freqs").standard_normal(m_oscillators)
     freqs.flags.writeable = False
     return RoPuf(int(m_oscillators), freqs, float(meas_sigma), int(seed))

@@ -326,6 +326,13 @@ def oracle_equivalence_experiment(seed: int) -> dict:
         got = list(fuzzy.toeplitz_hash(tseed, data, n_out).bits)
         want = _toeplitz_matrix_oracle(list(tseed.bits), list(data.bits), n_out)
         toeplitz_ok = toeplitz_ok and got == want
+    # and the key fe_generate folds from its helper's table, through the same literal multiply
+    rng = _sub(seed, "oracle-fe-key")
+    for n_rep, n_blocks, key_len in [(3, 4, 5), (3, 5, 65), (1, 9, 1)]:
+        w = BitString.random(n_rep * n_blocks, rng)
+        key, helper = fuzzy.fe_generate(w, fuzzy.RepetitionParams(n_rep, n_blocks), key_len, rng)
+        want = _toeplitz_matrix_oracle(list(helper.toeplitz_seed.bits), list(w.bits), key_len)
+        toeplitz_ok = toeplitz_ok and list(key.key.bits) == want
 
     # repetition decoding: every in-radius pattern corrects, joint-exhaustive
     repetition_ok = True

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from clonebench import cli, protocol, repro
+from clonebench import acoustic, cli, protocol, repro
 
 
 def run_cli(capsys, *argv):
@@ -428,6 +428,43 @@ def test_combined_verify_verb(tmp_path, capsys):
     assert code == 0
     assert doc["verdict"] == "accept"
     assert doc["entropy_bits"] == 300.0
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_stdout_stays_strict_json(tmp_path, capsys, monkeypatch):
+    # two devices give one pairwise distance: its variance, and the DoF from it, are undefined
+    code, out = run_cli(capsys, "puf", "metrics", "--model", "ro", "--devices", "2", "--oscillators", "8", "--seed", "1")
+    doc = _strict_json(out)
+    assert (code, doc["dof_bits"], doc["uniqueness_std"], doc["uniqueness_mean"]) == (0, None, None, 0.75)
+    for model, sigma in (("arbiter", "nan"), ("ro", "inf"), ("xor", "nan"), ("arbiter", "-inf")):
+        assert run_cli(capsys, "puf", "simulate", "--model", model, "--noise-sigma", sigma, "--seed", "1") == (2, "")
+    dev, store, fp, helper = (tmp_path / name for name in ("dev.json", "store.json", "fp.json", "helper.json"))
+    run_cli(capsys, "suc", "personalize", "--device-id", "nan", "--rounds", "4", "--seed", "75", "--device-out", str(dev))
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "1", "--store", str(store), "--seed", "76")
+    _, out = run_cli(capsys, "acoustic", "fingerprint", "--bins", "32", "--noiseless", "--fingerprint-out", str(fp), "--seed", "77")
+    run_cli(
+        capsys, "fe", "generate", "--input-hex", _strict_json(out)["bits_hex"], "--n-rep", "1", "--blocks", "32",
+        "--key-len", "8", "--helper-out", str(helper), "--seed", "78",
+    )
+    argv = ["combined-verify", "--device", str(dev), "--store", str(store), "--helper", str(helper), "--fingerprint", str(fp)]
+    for dof in ("nan", "inf"):
+        assert run_cli(capsys, *argv, "--structural-dof", dof, "--seed", "79") == (2, "")
+    assert not protocol.load_store(store).records["nan"][0].used  # refused before any CRP is spent
+    code, out = run_cli(capsys, *argv, "--structural-dof", "20", "--seed", "79")
+    assert (code, _strict_json(out)["entropy_bits"]) == (0, 100.0)
+    # a degenerate population prints its DoF as null, and a stray non-finite value exits 2 unprinted
+    degenerate = acoustic.EntropyEstimate(0.0, 0.0, float("nan"), True)
+    monkeypatch.setattr(acoustic, "structural_entropy_estimate", lambda fps: degenerate)
+    code, out = run_cli(capsys, "acoustic", "entropy", "--devices", "2", "--bins", "32", "--seed", "1")
+    assert (code, _strict_json(out)["dof_bits"]) == (0, None)
+    monkeypatch.setattr(acoustic, "challenge_space_bits", lambda spec: float("inf"))
+    assert run_cli(capsys, "acoustic", "space", "--t", "32", "--k", "20") == (2, "")
 
 
 def test_combined_verify_tau_bounds_the_corrected_fraction(tmp_path, capsys):

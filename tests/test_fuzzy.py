@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,15 +114,22 @@ def test_in_radius_errors_correct_exactly(tmp_path_factory, n_rep, n_blocks, key
     path = tmp_path_factory.mktemp("helper") / "helper.json"
     fuzzy.save_helper(helper, path)
     for used in (helper, fuzzy.load_helper(path)):
-        out = fuzzy.fe_reproduce_detail(BitString(w.bits ^ flips), used)
+        out = fuzzy.fe_reproduce(BitString(w.bits ^ flips), used)
         assert out is not None and out.key == key.key
         assert out.corrected_fraction == flips.sum() / params.code_len
 
 
+def test_one_result_type_and_one_reproduce_function():
+    _, w, key, helper = _setup()
+    assert fuzzy.fe_reproduce_detail is fuzzy.fe_reproduce
+    assert key.corrected_fraction == 0.0  # enrollment corrects nothing
+    assert fuzzy.fe_reproduce(w, helper) == fuzzy.ExtractedKey(key.key, 0.0)
+
+
 def test_generate_and_reproduces_build_the_toeplitz_table_once(monkeypatch):
     built = []
-    build = fuzzy.toeplitz_columns
-    monkeypatch.setattr(fuzzy, "toeplitz_columns", lambda *args: built.append(args) or build(*args))
+    build = fuzzy._fold_key_table
+    monkeypatch.setattr(fuzzy, "_fold_key_table", lambda *args: built.append(args) or build(*args))
     _, w, key, helper = _setup(n_rep=5, n_blocks=8, key_len=32)
     for _ in range(3):
         assert fuzzy.fe_reproduce(w, helper).key == key.key
@@ -138,9 +147,32 @@ def test_toeplitz_table_is_read_only_and_packed(key_len):
     bits = np.unpackbits(rows.view(np.uint8), bitorder="little").reshape(table.shape[1], -1)
     assert not bits[:, key_len:].any()
     assert np.array_equal(bits[0, :key_len], fuzzy.toeplitz_hash(helper.toeplitz_seed, helper.sketch, key_len).bits)
-    columns = fuzzy.toeplitz_columns(helper.toeplitz_seed, params.code_len, key_len)
+    columns = _packed_columns_oracle(helper.toeplitz_seed, params.code_len, key_len)
     folds = [np.bitwise_xor.reduce(columns[:, b * 3 : b * 3 + 3], axis=1) for b in range(params.n_blocks)]
     assert np.array_equal(table[:, 1:], np.stack(folds, axis=1))
+
+
+def _packed_columns_oracle(seed, n, out_len):
+    """Toeplitz column j, ``seed[n-1-j : n-1-j+out_len]``, with bit i at bit i % 64 of word i // 64."""
+    columns = np.zeros((n, 64 * -(-out_len // 64)), dtype=np.uint8)
+    for j in range(n):
+        columns[j, :out_len] = seed.bits[n - 1 - j : n - 1 - j + out_len]
+    return np.packbits(columns, axis=1, bitorder="little").view("<u8").T
+
+
+def test_key_table_build_stays_small():
+    # the 14208-bit helper of the analysis workload, with a 128-bit key
+    params = fuzzy.design_repetition(0.25, 1e-6, 128)
+    _, _, _, helper = _setup(params.n_rep, params.n_blocks, 128)
+    fresh = fuzzy.HelperData(helper.sketch, helper.toeplitz_seed, 128, params, helper.checksum)
+    tracemalloc.start()
+    try:
+        table = fresh.key_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, helper.key_table)
+    assert peak <= 512 * 1024, peak
 
 
 @settings(max_examples=100, deadline=None)
