@@ -36,6 +36,8 @@ TEMP_COEFF = 0.002
 #: per-component complex measurement noise
 MEAS_NOISE_SIGMA = 0.15
 
+_GRAM_ROWS = 64  # Gram rows per block in pairwise_distance_stats: 256 KB at 1000 float32 columns
+
 
 @dataclass(frozen=True, eq=False)
 class StructureModel:
@@ -157,16 +159,30 @@ def pairwise_distance_stats(bit_matrix: np.ndarray) -> tuple:
     # every intermediate is an integer of magnitude <= 2 * width, which float32 holds
     # exactly up to width 2^23 (float64 up to 2^52), so the distances are exact
     mat = mat.astype(np.float32 if width <= 2**23 else np.float64)
-    hd = mat @ mat.T
     ones = mat.sum(axis=1)
-    hd *= -2
-    hd += ones[:, None]
-    hd += ones
-    # the upper triangle in row-major order, as np.triu_indices would gather it
-    values = hd[~np.tri(n, dtype=bool)].astype(np.float64)
+    # the upper triangle in row-major order, as np.triu_indices would gather it,
+    # built _GRAM_ROWS rows of the Gram at a time: row i holds its n - 1 - i pairs
+    values = np.empty(n * (n - 1) // 2)
+    end = 0
+    for top in range(0, n - 1, _GRAM_ROWS):
+        rows = slice(top, min(top + _GRAM_ROWS, n - 1))
+        hd = mat[rows] @ mat[top + 1 :].T  # column c is row top + 1 + c
+        hd *= -2
+        hd += ones[rows, None]
+        hd += ones[top + 1 :]
+        for k, row in enumerate(hd):
+            start, end = end, end + n - 1 - (top + k)
+            values[start:end] = row[k:]
     values /= width
-    var = float(values.var(ddof=1)) if values.size > 1 else float("nan")
-    return float(values.mean()), var
+    # numpy's own mean and var(ddof=1), step for step and in place: both are
+    # np.add.reduce of the same contiguous vector divided by the same count,
+    # so each equals what the library calls return, to the bit
+    mean = np.add.reduce(values) / values.size
+    if values.size < 2:
+        return float(mean), float("nan")
+    values -= mean
+    np.multiply(values, values, out=values)
+    return float(mean), float(np.add.reduce(values) / (values.size - 1))
 
 
 def dof_estimate(bit_matrix: np.ndarray) -> EntropyEstimate:

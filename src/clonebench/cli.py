@@ -491,6 +491,9 @@ def main(argv=None) -> int:
         if "seed" in args:
             result["seed"] = args.seed
         line = dumps_canonical(result)
+        if args.out:
+            # a descriptor rebuilds its device, so a result holding one is secret
+            write_json(args.out, result, secret="descriptor" in result)
     except DataFormatError as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
@@ -498,9 +501,6 @@ def main(argv=None) -> int:
         log.error("usage error: %s", exc)
         return EXIT_USAGE
     print(line)
-    if args.out:
-        # a descriptor rebuilds its device, so a result holding one is secret
-        write_json(args.out, result, secret="descriptor" in result)
     return code
 
 

@@ -27,10 +27,14 @@ holds a permutation of one value set, so the rounds share one int object per
 distinct value: a 40-round set retains about 94 KB, where ``tolist()`` copies
 would hold 414 KB and memoryviews would allocate a new int on every lookup.
 
-:func:`sbox_spectra` derives the full DDT and Walsh tables of a batch of
-S-boxes from one Walsh-Hadamard transform.  Two callers read it: the
-personalization filter :func:`sbox_audit_batch`, and the trail sampler, which
-draws output differences from the DDT rows.
+One float32 Walsh-Hadamard transform gives the DDT and Walsh tables of a
+batch of S-boxes, exactly.  :func:`sbox_spectra` returns them as int64 for
+the trail sampler, which draws output differences from the DDT rows.
+:func:`sbox_audit_batch`, the personalization filter, transforms
+``AUDIT_CHUNK`` tables at a time and reads its two maxima straight from the
+float32 spectra, so its temporaries are three 0.5 MiB arrays however many
+tables it audits; callers that draw tables in bulk, such as
+:func:`clonebench.suc.sbox_entropy_bits`, draw one chunk at a time too.
 """
 import operator
 
@@ -43,7 +47,7 @@ _PARITY_SIGN = np.array(
     [[1 - 2 * (bin(m & v).count("1") & 1) for v in range(16)] for m in range(16)],
     dtype=np.float32,
 )
-_AUDIT_CHUNK = 1024  # tables per spectra call, which bounds the audit's temporaries
+AUDIT_CHUNK = 512  # tables per spectra call: about 0.5 MiB per float32 spectrum
 
 
 def active_backend() -> str:
@@ -147,6 +151,12 @@ def spn_block(state, rounds, out_key):
 
 
 # --------------------------------------------------------------------------- S-box audit
+def _spectra(tables):
+    """float32 ``(256 * DDT, Walsh)`` of (n, 16) 4-bit S-boxes; every entry is an exact integer."""
+    walsh = _PARITY_SIGN @ _PARITY_SIGN[np.asarray(tables, dtype=np.intp)]
+    return _PARITY_SIGN @ (walsh * walsh) @ _PARITY_SIGN, walsh
+
+
 def sbox_spectra(tables):
     """Exact DDT and Walsh tables, each (n, 16, 16) int64, of (n, 16) 4-bit S-boxes.
 
@@ -155,8 +165,7 @@ def sbox_spectra(tables):
     W = H @ H[S] and DDT = H @ (W * W) @ H / 256 (Chabaud & Vaudenay, "Links
     between differential and linear cryptanalysis", EUROCRYPT '94).
     """
-    walsh = _PARITY_SIGN @ _PARITY_SIGN[np.asarray(tables, dtype=np.intp)]
-    ddt = _PARITY_SIGN @ (walsh * walsh) @ _PARITY_SIGN
+    ddt, walsh = _spectra(tables)
     ddt /= 256
     return ddt.astype(np.int64), walsh.astype(np.int64)
 
@@ -165,9 +174,11 @@ def sbox_audit_batch(tables):
     """Max DDT entry and max |Walsh| over nonzero a, b, per (n, 16) uint8 table."""
     ddt_max = np.empty(len(tables), np.int64)
     walsh_max = np.empty(len(tables), np.int64)
-    for start in range(0, len(tables), _AUDIT_CHUNK):
-        chunk = slice(start, start + _AUDIT_CHUNK)
-        ddt, walsh = sbox_spectra(tables[chunk])
-        ddt_max[chunk] = ddt[:, 1:, 1:].max(axis=(1, 2))
-        walsh_max[chunk] = np.abs(walsh[:, 1:, 1:]).max(axis=(1, 2))
+    for start in range(0, len(tables), AUDIT_CHUNK):
+        chunk = slice(start, start + AUDIT_CHUNK)
+        ddt, walsh = _spectra(tables[chunk])
+        walsh = walsh[:, 1:, 1:]
+        # maxima of exact integers: scaling by 1/256 and negation commute with them
+        ddt_max[chunk] = ddt[:, 1:, 1:].max(axis=(1, 2)) / 256
+        walsh_max[chunk] = np.maximum(walsh.max(axis=(1, 2)), -walsh.min(axis=(1, 2)))
     return ddt_max, walsh_max

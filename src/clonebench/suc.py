@@ -106,8 +106,10 @@ def sbox_entropy_bits(sample_budget: int, rng, params: SucParams = SucParams()) 
         raise ValueError("sample_budget must be >= 1000")
     accepted = 0
     remaining = sample_budget
+    # one audit chunk at a time: rng.random takes one word per double, so the
+    # tables are those of one call for the whole budget
     while remaining > 0:
-        batch = min(remaining, 1 << 14)
+        batch = min(remaining, kernels.AUDIT_CHUNK)
         tables = sample_sbox_tables(batch, rng)
         accepted += int(sbox_accepted_mask(tables).sum())
         remaining -= batch

@@ -94,6 +94,23 @@ def _nibbles(x: np.ndarray, n_nibbles: int) -> np.ndarray:
     return (x[..., None] >> np.arange(0, 4 * n_nibbles, 4, dtype=np.uint64)) & np.uint64(0xF)
 
 
+def _active_nibbles(x: np.ndarray) -> np.ndarray:
+    """The number of nonzero nibbles of each uint64 in x, as a uint64 array of x's shape."""
+    # fold each nibble onto its low bit, then add the bits a byte at a time: a
+    # byte's count is at most 2 and the total at most 16, so no sum carries
+    y = x >> np.uint64(1)
+    y |= x
+    x = y >> np.uint64(2)
+    x |= y
+    x &= np.uint64(0x1111_1111_1111_1111)
+    np.right_shift(x, np.uint64(4), out=y)
+    y += x
+    y &= np.uint64(0x0F0F_0F0F_0F0F_0F0F)
+    y *= np.uint64(0x0101_0101_0101_0101)  # wraps mod 2^64; the total lands in the top byte
+    y >>= np.uint64(56)
+    return y
+
+
 def _sample_differences(sboxes, perm, rounds: int, n_trails: int, rng) -> np.ndarray:
     """(rounds + 1, n_trails) uint64: row r holds each trail's input difference to round r."""
     arr = validate_permutation(perm)
@@ -134,5 +151,5 @@ def sample_trail_actives(sboxes: np.ndarray, perm, rounds: int, n_trails: int, r
       indexes those outputs in ascending order.
     """
     diffs = _sample_differences(sboxes, perm, rounds, n_trails, rng)
-    n_nibbles = len(perm) // 4
-    return np.count_nonzero(_nibbles(diffs[:-1], n_nibbles), axis=(0, 2)).astype(np.int64)
+    return _active_nibbles(diffs[:-1]).sum(axis=0, dtype=np.int64)
+

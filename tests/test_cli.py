@@ -244,6 +244,17 @@ def test_out_flag_writes_result_file(tmp_path, capsys):
     assert doc["schema_version"] == 1
 
 
+@pytest.mark.parametrize("parent", ["missing-dir", "a-file"])
+def test_unwritable_out_exits_2_with_empty_stdout(tmp_path, capsys, caplog, parent):
+    (tmp_path / "a-file").write_text("")
+    path = tmp_path / parent / "x.json"
+    code = cli.main(["acoustic", "space", "--t", "32", "--k", "20", "--out", str(path)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert "usage error" in caplog.text
+    assert not path.exists()
+
+
 def test_repro_seed_defaults_to_2026_whatever_the_environment(monkeypatch, capsys):
     code, out = run_cli(capsys, "repro", "challenge-space")
     assert code == 0 and json.loads(out)["seed"] == repro.DEFAULT_SEED
