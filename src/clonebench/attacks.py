@@ -4,6 +4,11 @@ Delay PUFs fall to logistic regression on the parity feature map; the same
 attacker run against a secret-cipher bit stays at coin-flip accuracy, which is
 the toolkit's headline discrimination experiment.  Memory PUFs fall instead to
 full readout cloning, modeled here as copying the reference startup pattern.
+
+A campaign keeps its data at one bit per entry: a ``CrpDataset`` holds its
+challenges bit-packed, ``collect_crps`` draws and answers them ``_CHUNK_ROWS``
+rows at a time, and training holds the parity features as packed sign bits,
+widened to exact float64 +-1 only ``BLOCK_ROWS`` rows at a time.
 """
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ import numpy as np
 
 from .bitstring import bit_matrix
 from .jsonio import SCHEMA_VERSION
-from .puf import ArbiterPuf, SramPuf, parity_transform
-from .suc import SucDevice
+from .puf import BLOCK_ROWS, ArbiterPuf, SramPuf, matmul_blocks, parity_transform
+from .suc import SucDevice, challenge_blocks
 
 #: ciphertext bit index the cipher attack tries to predict (MSB)
 SUC_TARGET_BIT = 0
@@ -30,7 +35,8 @@ RIDGE = 1e-3
 #: objective's float64 rounding can no longer confirm a decrease
 NEWTON_TOL = 1e-16
 
-_BLOCK_ROWS = 512  # feature rows widened to float64 at a time
+_CHUNK_ROWS = 16384  # challenge rows drawn and answered at a time
+_FEATURE_ROWS = 4096  # challenge rows turned into int8 parity features at a time
 _ARMIJO = 1e-4  # share of the predicted decrease a damped step must achieve
 _MAX_HALVINGS = 30
 
@@ -51,19 +57,44 @@ class SucBitTarget:
         self.challenge_bits = device.challenge_bits
 
     def respond(self, challenges) -> np.ndarray:
-        # a copy, so the labels do not keep every ciphertext bit alive
-        return self.device.respond(challenges)[SUC_TARGET_BIT :: self.challenge_bits].copy()
+        cipher = self.device.encrypt_blocks(challenge_blocks(challenges))
+        cipher >>= 63 - SUC_TARGET_BIT  # bit 0 is the most significant
+        cipher &= 1
+        return cipher.astype(np.uint8)
 
 
 # --------------------------------------------------------------------------- data + model
-@dataclass(frozen=True, eq=False)
 class CrpDataset:
-    challenges: np.ndarray  # (n, n_bits) uint8
-    responses: np.ndarray  # (n,) uint8
-    source: str
+    """Challenge rows and one response bit each, the rows kept bit-packed.
+
+    The constructor checks the 0/1 challenge matrix and the responses once
+    and keeps ``packed = np.packbits(rows, axis=1)`` with the row ``width``;
+    ``rows(start, stop)`` unpacks a slice.  No unpacked copy is kept.
+    """
+
+    def __init__(self, challenges, responses, source: str):
+        rows = np.asarray(challenges)
+        if rows.ndim != 2:
+            raise ValueError("challenges must be a 2-D matrix")
+        rows = bit_matrix(rows)
+        self.packed = np.packbits(rows, axis=1)
+        self.width = rows.shape[1]
+        self.responses = bit_matrix(responses, len(rows))[0]  # one response per challenge row
+        self.source = source
+
+    @classmethod
+    def _of_packed(cls, packed, width, responses, source):
+        """Wrap rows packed by ``collect_crps`` and their responses, with no further check."""
+        data = cls.__new__(cls)
+        data.packed, data.width, data.responses, data.source = packed, width, responses, source
+        return data
 
     def __len__(self) -> int:
         return self.responses.size
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The 0/1 challenge rows from ``start`` to ``stop``, unpacked to uint8."""
+        return np.unpackbits(self.packed[start:stop], axis=1, count=self.width)
 
 
 @dataclass(eq=False)
@@ -95,8 +126,34 @@ def collect_crps(target, n: int, rng) -> CrpDataset:
         raise ValueError("n must be >= 1")
     if len(getattr(target, "members", ())) > XOR_ATTACK_MAX_K:
         raise ValueError(f"XOR-arbiter attacks are scoped to k <= {XOR_ATTACK_MAX_K}")
-    challenges = rng.integers(0, 2, (n, target.challenge_bits), dtype=np.uint8)
-    return CrpDataset(challenges, target.respond(challenges), target.name)
+    width = target.challenge_bits
+    packed = np.empty((n, -(-width // 8)), dtype=np.uint8)
+    responses = np.empty(n, dtype=np.uint8)
+    # the chunks replay one rng.integers(0, 2, (n, width), uint8) call: each
+    # draw takes one byte of a 32-bit word, and every chunk but the last holds
+    # a multiple of 4 draws, so none splits a word
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = rng.integers(0, 2, (min(_CHUNK_ROWS, n - start), width), dtype=np.uint8)
+        chunk = slice(start, start + len(rows))
+        packed[chunk] = np.packbits(rows, axis=1)
+        responses[chunk] = target.respond(rows)
+    return CrpDataset._of_packed(packed, width, responses, target.name)
+
+
+def _sign_bits(rows) -> np.ndarray:
+    """The parity features of 0/1 rows as packed sign bits: bit j is 1 where feature j is -1."""
+    features = parity_transform(rows)
+    features -= 1  # -1 becomes -2 and 1 becomes 0; packbits keeps any nonzero as 1
+    return np.packbits(features, axis=1)
+
+
+def _packed_parity(rows_of, n: int, width: int) -> np.ndarray:
+    """The sign bits of rows_of(start, stop) for n rows, ``_FEATURE_ROWS`` rows of int8 features at a time."""
+    packed = np.empty((n, -(-(width + 1) // 8)), dtype=np.uint8)
+    for start in range(0, n, _FEATURE_ROWS):
+        stop = min(start + _FEATURE_ROWS, n)
+        packed[start:stop] = _sign_bits(rows_of(start, stop))
+    return packed
 
 
 def _objective(margins: np.ndarray, weights: np.ndarray, spare: np.ndarray) -> float:
@@ -114,16 +171,26 @@ def _objective(margins: np.ndarray, weights: np.ndarray, spare: np.ndarray) -> f
     return float(np.mean(spare)) + 0.5 * RIDGE * float(weights @ weights)
 
 
-def _widened(features, block, starts):
-    """Yield (rows, x): the rows from each start to the next, widened into ``block``.
+def _widened(features, block, slices):
+    """Yield (rows, x) for each slice of rows: their packed features widened into ``block``.
 
-    ``x`` is a float64 view of ``block``, reused for the next slice.
+    ``x`` is a float64 view of ``block`` holding exact +-1.0, reused for the
+    next slice.  A sign bit b becomes the int8 1 - 2b as 254·b + 1 in uint8.
     """
-    for start, stop in zip(starts, [*starts[1:], len(features)]):
-        rows = slice(start, stop)
-        x = block[: stop - start]
-        np.copyto(x, features[rows])
+    k = block.shape[1]
+    for rows in slices:
+        bits = np.unpackbits(features[rows], axis=1, count=k)
+        bits *= 254
+        bits += 1
+        x = block[: len(bits)]
+        np.copyto(x, bits.view(np.int8))
         yield rows, x
+
+
+def _margins(features, weights, block, out) -> None:
+    """``out`` = the widened features times ``weights``, rounded as one product over all rows."""
+    for rows, x in _widened(features, block, matmul_blocks(len(out))):
+        np.matmul(x, weights, out=out[rows])
 
 
 def _newton_system(features, margins, zeros, weights, spare, block):
@@ -133,15 +200,16 @@ def _newton_system(features, margins, zeros, weights, spare, block):
     (1 + t)/2.  So the residual p - y of the probability p of response 1 is
     -(1 - t)/2 where y = 1 and (1 - t)/2 where y = 0, and the Hessian weight
     p(1 - p) is (1 - t)(1 + t)/4.  Both are summed over blocks of
-    ``_BLOCK_ROWS`` rows widened into ``block``, so no float64 temporary as
+    ``BLOCK_ROWS`` rows widened into ``block``, so no float64 temporary as
     large as the features is made.
     """
-    n, k = features.shape
+    n, k = len(features), block.shape[1]
     np.multiply(margins, 0.5, out=spare)
     np.tanh(spare, out=spare)
     grad = np.zeros(k)
     hess = np.zeros((k, k))
-    for rows, x in _widened(features, block, range(0, n, _BLOCK_ROWS)):
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS)]
+    for rows, x in _widened(features, block, blocks):
         t = spare[rows]
         root = np.sqrt((1.0 - t) * (1.0 + t))
         t -= 1.0
@@ -168,29 +236,23 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
     objective after each step taken.  ``epochs`` is a step cap for library
     callers; the CLI keeps the default, which the stopping rule ends first.
 
-    Deterministic for given inputs.  Besides the int8 features, a step works
-    in two length-n float64 buffers and one float64 block of
-    ``_BLOCK_ROWS`` + 1 feature rows, which both the Newton system and the
-    trial margins widen their rows into.
+    Deterministic for given inputs.  The parity features are built
+    ``_FEATURE_ROWS`` rows at a time and kept as packed sign bits, one bit per
+    entry.  Besides them a step works in two length-n float64 buffers and one
+    float64 block of ``BLOCK_ROWS`` + 1 feature rows, which both the Newton
+    system and the trial margins widen their rows into.
     """
     if len(data) < 10:
         raise ValueError("need at least 10 CRPs to train")
-    if data.challenges.ndim != 2:
-        raise ValueError("challenges must be a 2-D matrix")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    labels = bit_matrix(data.responses, len(data.challenges))[0]  # one response per challenge row
-    zeros = labels == 0  # where the margin is the negated logit
-    features = parity_transform(bit_matrix(data.challenges))
-    weights = np.zeros(features.shape[1])
-    margins = np.zeros(labels.size)  # the logit of each observed response
-    spare = np.empty(labels.size)
-    block = np.empty((_BLOCK_ROWS + 1, features.shape[1]))
-    # the trial margins take a lone last row with the rows before it: numpy
-    # computes a one-row matmul by dot, which rounds unlike a taller gemv
-    margin_starts = range(0, labels.size, _BLOCK_ROWS)
-    if labels.size % _BLOCK_ROWS == 1:
-        margin_starts = margin_starts[:-1]
+    n = len(data)
+    features = _packed_parity(data.rows, n, data.width)
+    zeros = data.responses == 0  # where the margin is the negated logit
+    weights = np.zeros(data.width + 1)
+    margins = np.zeros(n)  # the logit of each observed response
+    spare = np.empty(n)
+    block = np.empty((BLOCK_ROWS + 1, weights.size))
     loss = _objective(margins, weights, spare)
     losses = []
     for _ in range(epochs):
@@ -202,8 +264,7 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = weights - step * delta
-            for rows, x in _widened(features, block, margin_starts):
-                np.matmul(x, trial, out=spare[rows])
+            _margins(features, trial, block, spare)
             np.negative(spare, out=spare, where=zeros)
             trial_loss = _objective(spare, trial, margins)
             if trial_loss <= loss - _ARMIJO * step * 2.0 * decrement:
@@ -218,8 +279,12 @@ def train_model(data: CrpDataset, epochs: int = 500) -> LinearModel:
 
 
 def predict(model: LinearModel, challenges: np.ndarray) -> np.ndarray:
-    features = parity_transform(bit_matrix(challenges, model.weights.size - 1))
-    return (features @ model.weights > 0).astype(np.uint8)
+    """The model's response bit for each 0/1 challenge row, through the same packed features as training."""
+    rows = bit_matrix(challenges, model.weights.size - 1)
+    margins = np.empty(len(rows))
+    features = _packed_parity(lambda start, stop: rows[start:stop], len(rows), rows.shape[1])
+    _margins(features, model.weights, np.empty((BLOCK_ROWS + 1, model.weights.size)), margins)
+    return (margins > 0).astype(np.uint8)
 
 
 def eval_model(model: LinearModel, target, n_test: int, rng) -> AttackReport:
@@ -227,7 +292,7 @@ def eval_model(model: LinearModel, target, n_test: int, rng) -> AttackReport:
     if n_test < 100:
         raise ValueError("n_test must be >= 100")
     fresh = collect_crps(target, n_test, rng)
-    accuracy = float(np.mean(predict(model, fresh.challenges) == fresh.responses))
+    accuracy = float(np.mean(predict(model, fresh.rows()) == fresh.responses))
     return AttackReport(target.name, model.train_size, n_test, accuracy)
 
 

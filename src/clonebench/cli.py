@@ -475,6 +475,17 @@ def _apply_config(parser, argv, args):
     return parser.parse_args(argv)
 
 
+def _check_out_dir(path) -> None:
+    """Refuse an ``--out`` whose directory is missing or unwritable before the verb runs.
+
+    A verb such as ``identify`` burns a CRP, so finding out only at the write
+    would lose the verdict it paid for.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+        raise ValueError(f"--out directory {directory} is missing or not writable")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -484,6 +495,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         args = _apply_config(parser, argv, args)
+        if args.out:
+            _check_out_dir(args.out)
         if "seed" in args and args.seed is None:
             args.seed = fresh_seed()
             log.info("no seed given; drew %d from OS entropy (echoed in output)", args.seed)

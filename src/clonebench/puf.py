@@ -16,7 +16,9 @@ The arbiter model keeps both routes to a response: the exact linear-threshold
 form ``sign(w . phi(c))`` used everywhere, and a direct stage-by-stage race
 simulation (``arbiter_eval_path``) that the linear weights are checked against.
 The parity features phi(c) are int8 +-1 (``parity_transform``), a byte per
-entry instead of a float64's eight.
+entry instead of a float64's eight; ``arbiter_eval_batch`` widens them to
+float64 ``BLOCK_ROWS`` rows at a time (``matmul_blocks``), so no float64 copy
+of the whole feature matrix is made.
 """
 from __future__ import annotations
 
@@ -36,6 +38,9 @@ DELAY_COLUMNS = ("straight_top", "straight_bottom", "cross_tb", "cross_bt")
 #: calibration anchors (temperature C, target BER); voltage adds nothing in
 #: [1.20, 1.32] V since the reported error rate is flat across that range
 SRAM_BER_ANCHORS = ((-40.0, 0.08), (25.0, 0.06), (85.0, 0.08))
+
+#: feature rows widened to float64 for one matrix product
+BLOCK_ROWS = 512
 
 
 def env_scale(env: EnvironmentConditions) -> float:
@@ -119,6 +124,19 @@ def parity_transform(challenges: np.ndarray) -> np.ndarray:
     return feats
 
 
+def matmul_blocks(n: int) -> list:
+    """Slices of ``BLOCK_ROWS`` rows covering n rows, a lone last row joined to the block before it.
+
+    numpy computes a one-row matmul by ``dot``, which rounds unlike the
+    ``gemv`` of a taller matrix; with these blocks every row of a blockwise
+    product rounds as in one product over all n rows.
+    """
+    starts = range(0, n, BLOCK_ROWS)
+    if n % BLOCK_ROWS == 1 and n > 1:
+        starts = starts[:-1]
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
 def arbiter_new(n_stages: int, seed: int, noise_sigma: float = 0.0) -> ArbiterPuf:
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
@@ -133,10 +151,12 @@ def arbiter_new(n_stages: int, seed: int, noise_sigma: float = 0.0) -> ArbiterPu
 
 def arbiter_eval_batch(puf: ArbiterPuf, challenges, env=NOMINAL, rng=None) -> np.ndarray:
     """Responses for (N, n_stages) challenge rows; rng=None means zero noise."""
-    mat = bit_matrix(challenges, puf.n_stages)
-    delta = parity_transform(mat) @ puf.weights
+    features = parity_transform(bit_matrix(challenges, puf.n_stages))
+    delta = np.empty(len(features))
+    for rows in matmul_blocks(len(features)):
+        np.matmul(features[rows], puf.weights, out=delta[rows])
     if rng is not None and puf.noise_sigma > 0:
-        delta = delta + rng.normal(0.0, puf.noise_sigma * env_scale(env), delta.shape)
+        delta += rng.normal(0.0, puf.noise_sigma * env_scale(env), delta.shape)
     return (delta > 0).astype(np.uint8)
 
 

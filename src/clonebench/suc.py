@@ -134,6 +134,12 @@ def round_keys(master_key: int, rounds: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- device
+def challenge_blocks(challenges) -> np.ndarray:
+    """0/1 plaintext rows of BLOCK_BITS bits as uint64 blocks, a row's first bit the most significant."""
+    rows = bit_matrix(challenges, BLOCK_BITS)
+    return np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
+
+
 class SucDevice:
     """A personalized cipher instance; the descriptor never leaves this object
     except through :func:`save_device` on an explicitly provided path."""
@@ -191,9 +197,8 @@ class SucDevice:
 
     def respond(self, challenges, env=NOMINAL, rng=None) -> np.ndarray:
         """Ciphertext bits of each plaintext row; a digital device has no noise path."""
-        rows = bit_matrix(challenges, BLOCK_BITS)
-        blocks = np.packbits(rows, axis=1).view(">u8").ravel().astype(np.uint64)
-        return np.unpackbits(self.encrypt_blocks(blocks).astype(">u8").view(np.uint8))
+        cipher = self.encrypt_blocks(challenge_blocks(challenges))
+        return np.unpackbits(cipher.astype(">u8").view(np.uint8))
 
     # ------------------------------------------------------------- block API
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ def _logistic_loss_and_grad(weights, features, labels):
 
 def _newton_oracle(data, max_steps):
     """Textbook damped Newton on the same objective: a dense Hessian and exp-form sigmoid."""
-    features = _parity_transform_oracle(data.challenges)
+    features = _parity_transform_oracle(data.rows())
     labels = data.responses.astype(np.float64)
     signs = 2.0 * labels - 1.0
     ridge = attacks.RIDGE
@@ -89,10 +89,64 @@ def test_collect_shapes_and_determinism():
     target = _arbiter_target()
     a = attacks.collect_crps(target, 100, substream(2, "d"))
     b = attacks.collect_crps(target, 100, substream(2, "d"))
-    assert a.challenges.shape == (100, 64)
+    assert a.rows().shape == (100, 64)
     assert len(a) == 100
-    assert np.array_equal(a.challenges, b.challenges)
+    assert np.array_equal(a.packed, b.packed)
     assert np.array_equal(a.responses, b.responses)
+
+
+class _ParityTarget:
+    """A one-bit device of any challenge width: the parity of each challenge row."""
+
+    name = "parity"
+
+    def __init__(self, width):
+        self.challenge_bits = width
+
+    def respond(self, rows):
+        return (rows.sum(axis=1) % 2).astype(np.uint8)
+
+
+_CHUNK = attacks._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("width", [0, 1, 7, 63, 64])
+def test_collect_replays_one_draw_of_all_challenges(width, n):
+    # chunked collection draws the same challenges as one rng.integers call of
+    # the whole (n, width) shape, and leaves the generator where that call does
+    rng = substream(50, "d")
+    data = attacks.collect_crps(_ParityTarget(width), n, rng)
+    oracle = substream(50, "d")
+    want = oracle.integers(0, 2, (n, width), dtype=np.uint8)
+    assert data.width == width and len(data) == n
+    assert np.array_equal(data.rows(), want)
+    assert np.array_equal(data.responses, want.sum(axis=1) % 2)
+    assert np.array_equal(rng.integers(0, 2**32, 8), oracle.integers(0, 2**32, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(0, 40),
+    bits=st.integers(0, 70),
+    dtype=st.sampled_from([np.uint8, np.bool_, np.int64]),
+    start=st.integers(-45, 45),
+    stop=st.one_of(st.none(), st.integers(-45, 45)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dataset_rows_round_trip(rows, bits, dtype, start, stop, seed):
+    challenges = substream(seed, "rt").integers(0, 2, (rows, bits)).astype(dtype)
+    data = attacks.CrpDataset(challenges, np.zeros(rows, np.uint8), "round trip")
+    assert data.width == bits and data.packed.shape == (rows, -(-bits // 8))
+    assert data.rows().dtype == np.uint8
+    assert np.array_equal(data.rows(), challenges)
+    assert np.array_equal(data.rows(start, stop), challenges[start:stop])
+
+
+def test_dataset_refuses_challenges_that_are_not_a_matrix():
+    for challenges in (np.zeros(8, np.uint8), np.zeros((2, 3, 4), np.uint8)):
+        with pytest.raises(ValueError, match="2-D"):
+            attacks.CrpDataset(challenges, np.zeros(len(challenges), np.uint8), "bad")
 
 
 def test_collect_response_uniformity():
@@ -136,7 +190,7 @@ def test_train_model_reaches_the_ridge_optimum(target):
     data = _training_data(target)
     model = attacks.train_model(data)
     assert len(model.loss_history) < 500  # stopped by its own test, not the step cap
-    features = _parity_transform_oracle(data.challenges)
+    features = _parity_transform_oracle(data.rows())
     _, grad = _logistic_loss_and_grad(model.weights, features, data.responses.astype(np.float64))
     assert np.linalg.norm(grad + attacks.RIDGE * model.weights) <= 1e-8
 
@@ -166,7 +220,7 @@ def test_trial_margins_match_one_float64_product(rows, monkeypatch):
 
     monkeypatch.setattr(attacks, "_objective", spy)
     attacks.train_model(data, epochs=3)
-    features = _parity_transform_oracle(data.challenges)
+    features = _parity_transform_oracle(data.rows())
     assert len(seen) >= 4  # the zero start, then a trial per step
     for margins, weights in seen[1:]:
         want = features @ weights
@@ -216,8 +270,9 @@ def test_noiseless_arbiter_training_raises_no_floating_point_error():
 
 
 def test_feature_and_training_memory_stay_bounded():
-    # the in-place transform allocates only its int8 output; training adds
-    # length-n buffers and one float64 block of widened rows
+    # the in-place transform allocates only its int8 output; training keeps
+    # the features as packed sign bits and adds length-n buffers, one float64
+    # block of widened rows and the int8 features of one chunk of rows
     challenges = substream(43, "m").integers(0, 2, (20_000, 64), dtype=np.uint8)
     tracemalloc.start()
     try:
@@ -234,7 +289,54 @@ def test_feature_and_training_memory_stay_bounded():
     n = challenges.shape[0]
     feature_bytes = n * 65  # one int8 per feature; float64 features are 8x this
     assert transform_peak <= 1.05 * feature_bytes
-    assert train_peak <= feature_bytes + 5 * n * 8 + 2**20
+    assert train_peak <= n * 9 + 5 * n * 8 + 2**20  # 65 sign bits take 9 bytes a row
+
+
+def test_campaign_memory_stays_at_one_bit_per_entry():
+    # 100k cipher-bit CRPs: the challenges as uint8 rows, the ciphertext bits
+    # and the int8 features would each take 6.4 MB or more
+    target = attacks.SucBitTarget(suc.personalize(suc.SucParams(), substream(51, "s"), "campaign"))
+    tracemalloc.start()
+    try:
+        attacks.train_model(attacks.collect_crps(target, 100_000, substream(52, "d")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_000
+
+
+def test_predict_memory_stays_bounded():
+    # no float64 copy of all rows' features: that alone would take 10.4 MB
+    n = 20_000
+    challenges = substream(53, "m").integers(0, 2, (n, 64), dtype=np.uint8)
+    model = attacks.LinearModel(substream(54, "w").standard_normal(65), "random", 0)
+    tracemalloc.start()
+    try:
+        attacks.predict(model, challenges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * (9 + 8 + 1) + 2**20  # sign bits, margins and output per row
+
+
+@pytest.mark.parametrize("rows", [1, 2, 513, 1025, 8193])
+def test_predict_matches_one_float64_product(rows, monkeypatch):
+    # predict widens packed features a block at a time; its margins must be
+    # bit for bit those of one float64 product over all rows
+    challenges = substream(55, "p").integers(0, 2, (rows, 32), dtype=np.uint8)
+    weights = substream(56, "w").standard_normal(33)
+    seen = []
+    margins = attacks._margins
+
+    def spy(features, weights, block, out):
+        margins(features, weights, block, out)
+        seen.append(out.copy())
+
+    monkeypatch.setattr(attacks, "_margins", spy)
+    got = attacks.predict(attacks.LinearModel(weights, "random", 0), challenges)
+    want = _parity_transform_oracle(challenges) @ weights
+    assert seen[0].tobytes() == want.tobytes()
+    assert np.array_equal(got, want > 0)
 
 
 @pytest.mark.parametrize(
@@ -285,9 +387,8 @@ def test_every_challenge_entry_outside_0_1_is_refused(bad, row, col):
     for dtype in dtypes:
         challenges = np.zeros((20, 8), dtype=dtype)
         challenges[row, col] = bad
-        data = attacks.CrpDataset(challenges, np.zeros(20, np.uint8), "bad")
         with pytest.raises(ValueError, match="0 or 1"):
-            attacks.train_model(data, epochs=1)
+            attacks.CrpDataset(challenges, np.zeros(20, np.uint8), "bad")
         with pytest.raises(ValueError, match="0 or 1"):
             attacks.predict(attacks.LinearModel(np.ones(9), "ones", 0), challenges)
         with pytest.raises(ValueError, match="0 or 1"):
@@ -337,7 +438,7 @@ def test_eval_on_training_set_not_worse_than_fresh():
     target = _arbiter_target(seed=15)
     data = attacks.collect_crps(target, 3000, substream(16, "d"))
     model = attacks.train_model(data)
-    train_acc = np.mean(attacks.predict(model, data.challenges) == data.responses)
+    train_acc = np.mean(attacks.predict(model, data.rows()) == data.responses)
     fresh = attacks.eval_model(model, target, 3000, substream(17, "t"))
     assert train_acc >= fresh.accuracy
 

@@ -347,6 +347,18 @@ def test_identify_burns_the_record_on_disk_before_the_device_answers(tmp_path, c
     assert [r["used"] for r in records] == [True, False, False]  # the seen challenge is never handed out again
 
 
+@pytest.mark.parametrize("parent", ["missing-dir", "a-file"])
+def test_identify_with_an_unwritable_out_exits_2_and_burns_no_crp(tmp_path, capsys, parent):
+    dev, store = _enrolled(tmp_path, capsys)
+    (tmp_path / "a-file").write_text("")
+    banked = store.read_text()
+    out = tmp_path / parent / "x.json"
+    code, printed = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "95", "--out", str(out))
+    assert code == 2 and printed == ""
+    assert store.read_text() == banked
+    assert [r["used"] for r in json.loads(banked)["records"]] == [False, False, False]
+
+
 def test_identify_store_write_failure_exits_2_before_the_device_answers(tmp_path, capsys, monkeypatch):
     dev, store = _enrolled(tmp_path, capsys)
     before = store.read_bytes()

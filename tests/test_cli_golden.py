@@ -49,6 +49,9 @@ STATELESS = [
     ("attack-model-arbiter", "attack model --target arbiter --train 300 --test 100 --stages 16 --seed 111", 0, "0f94af1ab8db08fac2887378f62887c3d97998ee2ad1f39c0d08f07c45869278"),
     ("attack-model-xor", "attack model --target xor --k 2 --train 300 --test 100 --stages 16 --seed 111", 0, "9469a5e9d6c16a31dd142af60cb069393ff46dcd6a1c694530af62efa93f0e0c"),
     ("attack-model-suc", "attack model --target suc --train 300 --test 100 --seed 111", 0, "21fe3b7b556facbce10753e42289db50ff00e9effb6d80836bd7be0ce4d86f0a"),
+    # campaign sizes: the 100k cipher-bit CRPs cross the collection and feature chunks
+    ("attack-model-suc-campaign", "attack model --target suc --train 100000 --test 2000 --seed 1", 0, "5f7fdb29ada1fa26e9b4dac10b68b68908ff4b9243d7be8915ec4cb2c0b7292d"),
+    ("attack-model-arbiter-campaign", "attack model --target arbiter --stages 64 --train 5000 --test 2000 --seed 1", 0, "f1702e0ae04b237585bc2ff1d87a6923a630c53f15aab54268771fb603142b79"),
     ("repro-challenge-space", "repro challenge-space --seed 113", 0, "7c6653ab2948e41239028eb639caf89315466a03b5980772dfd2d0f65d0e12a4"),
     ("repro-readout-clone", "repro readout-clone --seed 112", 0, "86d749872dc72823e593a31655413cdc91f0161eac1923ba2bfcf6557d99a717"),
 ]

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,28 @@ def test_arbiter_noise_determinism_per_stream_position():
     r1 = puf.arbiter_eval_batch(device, challenges, NOMINAL, substream(2, "n"))
     r2 = puf.arbiter_eval_batch(device, challenges, NOMINAL, substream(2, "n"))
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 1024, 1025, 1026, 20_000])
+def test_matmul_blocks_cover_the_rows_and_never_leave_one_alone(n):
+    blocks = puf.matmul_blocks(n)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    for b in blocks:
+        assert 2 <= len(range(n)[b]) <= puf.BLOCK_ROWS + 1 or n == 1
+
+
+def test_arbiter_eval_batch_memory_stays_bounded():
+    # no float64 copy of all rows' features: that alone would take 10.4 MB
+    n = 20_000
+    challenges = substream(5, "m").integers(0, 2, (n, 64), dtype=np.uint8)
+    device = puf.arbiter_new(64, 6)
+    tracemalloc.start()
+    try:
+        device.respond(challenges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * (65 + 8 + 1) + 2**20  # int8 features, margins and output per row
 
 
 # ----------------------------------------------------------------- xor arbiter
