@@ -476,11 +476,13 @@ def _apply_config(parser, argv, args):
 
 
 def _check_out_dir(path) -> None:
-    """Refuse an ``--out`` whose directory is missing or unwritable before the verb runs.
+    """Refuse an ``--out`` that is a directory or lies in a missing or unwritable one, before the verb runs.
 
     A verb such as ``identify`` burns a CRP, so finding out only at the write
     would lose the verdict it paid for.
     """
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
         raise ValueError(f"--out directory {directory} is missing or not writable")

@@ -4,8 +4,10 @@ Personalization rejection-samples one cryptographically strong 4-bit S-box per
 round plus an 80-bit master key from a throwaway entropy stream; only the
 device object retains the result.  The cipher is a 64-bit SPN: round key XOR,
 the round's secret S-box on all 16 nibbles, a fixed public bit permutation,
-and a final whitening key.  Security quantities (class cardinality, active
-S-box trail bounds) are computed, not asserted.
+and a final whitening key.  The class cardinality is computed from sampled
+S-box acceptance; the active S-box trail bound is the closed form
+``trails.min_active_sboxes`` (one box per round), which the tier-1 tests check
+against an exact best-first trail search.
 """
 from __future__ import annotations
 
@@ -245,6 +247,8 @@ def security_report(params: SucParams, sample_budget: int, rng) -> SecurityRepor
     Rijmen, The Design of Rijndael, 2002) puts the best differential trail at
     probability <= (SBOX_DDT_MAX/16)^A and the best linear trail at correlation
     <= (SBOX_WALSH_MAX/16)^A, so both attacks need on the order of 2^(2A) data.
+    A = rounds: a nonzero difference keeps at least one nibble active through
+    every round, and a one-bit S-box output keeps exactly one active.
     """
     entropy = sbox_entropy_bits(sample_budget, rng)
     active = trails.min_active_sboxes(DEFAULT_PERMUTATION, params.rounds)

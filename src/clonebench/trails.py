@@ -1,23 +1,20 @@
-"""Active S-box lower bounds for the 64-bit SPN over its public bit permutation.
+"""Differential trails of the 64-bit SPN over its public bit permutation.
 
-States are 16-bit nibble-activity patterns.  One round maps each active nibble
-to any nonempty subset of the nibbles its four output bits reach through the
-permutation (the S-box output difference is a free nonzero 4-bit value), and
-the trail cost is the total count of active nibbles across rounds.  The minimum
-over all nonzero starting patterns is found by best-first search with the
-admissible bound of one active box per remaining round; subset states dominate
-superset states (thinning a trail never increases its cost), so single-nibble
-starts suffice.
+In the truncated model a trail is a sequence of nibble-activity patterns, and
+its cost is the total count of active nibbles.  Over any nibble-aligned bit
+permutation the minimum is exactly one active S-box per round, a theorem that
+``min_active_sboxes`` returns in closed form (tier-1 checks it against an exact
+best-first search).  ``sample_trail_actives`` draws concrete trails through a
+device's real S-boxes, choosing each round's output differences from its DDT,
+and counts their active boxes as a cross-check on that bound.
 """
 from __future__ import annotations
 
-import heapq
+import operator
 
 import numpy as np
 
 from . import kernels
-
-_EXPANSION_CAP = 1 << 22
 
 
 def validate_permutation(perm) -> np.ndarray:
@@ -40,53 +37,19 @@ def scatter_table(dest) -> np.ndarray:
     return np.bitwise_or.reduce(moved, axis=2)
 
 
-def nibble_reach(perm) -> list:
-    """For each source nibble, the distinct activity masks of its 15 nonzero outputs."""
-    arr = validate_permutation(perm)
-    return [sorted(set(row[1:])) for row in scatter_table(arr // 4).tolist()]
-
-
-def _successors(state: int, reach) -> set:
-    options = {0}
-    j = 0
-    while state:
-        if state & 1:
-            options = {base | mask for base in options for mask in reach[j]}
-        state >>= 1
-        j += 1
-    return options
-
-
 def min_active_sboxes(perm, rounds: int) -> int:
-    """Exact minimum number of active S-boxes over all nonzero truncated trails."""
+    """Minimum number of active S-boxes over all nonzero truncated trails: ``rounds``.
+
+    Lower bound: a bijective S-box maps a nonzero difference to a nonzero one,
+    and a bit permutation keeps it nonzero, so every round has an active nibble.
+    Attained: an output difference of weight 1 (1, 2, 4 or 8) lands in exactly
+    one nibble, so a trail with one active nibble per round exists.
+    """
+    rounds = operator.index(rounds)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    reach = nibble_reach(perm)
-    n_nibbles = len(reach)
-    # f = cost so far + one box per remaining round (admissible), so the first
-    # state popped at the final round carries the exact minimum
-    frontier = [(1 + (rounds - 1), 1, 1 << j) for j in range(n_nibbles)]
-    heapq.heapify(frontier)
-    best = {}
-    expansions = 0
-    while frontier:
-        f, depth, state = heapq.heappop(frontier)
-        cost = f - (rounds - depth)
-        if best.get((depth, state), 1 << 30) < cost:
-            continue
-        if depth == rounds:
-            assert cost >= rounds
-            return cost
-        expansions += 1
-        if expansions > _EXPANSION_CAP:
-            raise RuntimeError("trail search exceeded its expansion cap")
-        for nxt in _successors(state, reach):
-            ncost = cost + bin(nxt).count("1")
-            key = (depth + 1, nxt)
-            if ncost < best.get(key, 1 << 30):
-                best[key] = ncost
-                heapq.heappush(frontier, (ncost + (rounds - depth - 1), depth + 1, nxt))
-    raise RuntimeError("trail search exhausted without reaching the final round")
+    validate_permutation(perm)
+    return rounds
 
 
 def _nibbles(x: np.ndarray, n_nibbles: int) -> np.ndarray:

@@ -244,15 +244,24 @@ def test_out_flag_writes_result_file(tmp_path, capsys):
     assert doc["schema_version"] == 1
 
 
-@pytest.mark.parametrize("parent", ["missing-dir", "a-file"])
-def test_unwritable_out_exits_2_with_empty_stdout(tmp_path, capsys, caplog, parent):
+UNWRITABLE_OUTS = {"missing-dir": "missing-dir/x.json", "a-file": "a-file/x.json", "directory": "a-dir"}
+
+
+def _unwritable_out(tmp_path, case):
+    """An ``--out`` path of the named kind: under a missing directory, under a file, or a directory itself."""
     (tmp_path / "a-file").write_text("")
-    path = tmp_path / parent / "x.json"
+    (tmp_path / "a-dir").mkdir()
+    return tmp_path / UNWRITABLE_OUTS[case]
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_OUTS))
+def test_unwritable_out_exits_2_with_empty_stdout(tmp_path, capsys, caplog, case):
+    path = _unwritable_out(tmp_path, case)
     code = cli.main(["acoustic", "space", "--t", "32", "--k", "20", "--out", str(path)])
     assert code == 2
     assert capsys.readouterr().out == ""
     assert "usage error" in caplog.text
-    assert not path.exists()
+    assert path.exists() == (case == "directory")  # nothing written, and the directory left as it was
 
 
 def test_repro_seed_defaults_to_2026_whatever_the_environment(monkeypatch, capsys):
@@ -347,12 +356,11 @@ def test_identify_burns_the_record_on_disk_before_the_device_answers(tmp_path, c
     assert [r["used"] for r in records] == [True, False, False]  # the seen challenge is never handed out again
 
 
-@pytest.mark.parametrize("parent", ["missing-dir", "a-file"])
-def test_identify_with_an_unwritable_out_exits_2_and_burns_no_crp(tmp_path, capsys, parent):
+@pytest.mark.parametrize("case", list(UNWRITABLE_OUTS))
+def test_identify_with_an_unwritable_out_exits_2_and_burns_no_crp(tmp_path, capsys, case):
     dev, store = _enrolled(tmp_path, capsys)
-    (tmp_path / "a-file").write_text("")
     banked = store.read_text()
-    out = tmp_path / parent / "x.json"
+    out = _unwritable_out(tmp_path, case)
     code, printed = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "95", "--out", str(out))
     assert code == 2 and printed == ""
     assert store.read_text() == banked

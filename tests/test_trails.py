@@ -1,5 +1,5 @@
-import functools
 import hashlib
+import heapq
 import tracemalloc
 
 import numpy as np
@@ -24,28 +24,33 @@ def test_identity_permutation_activity_stays_put(rounds):
 @pytest.mark.parametrize("rounds", [5, 16, 40])
 def test_default_permutation_bound(rounds):
     active = trails.min_active_sboxes(suc.DEFAULT_PERMUTATION, rounds)
-    assert active >= rounds
+    assert active == rounds
 
 
 def test_rounds_validated():
     with pytest.raises(ValueError):
         trails.min_active_sboxes(suc.DEFAULT_PERMUTATION, 0)
+    with pytest.raises(TypeError):
+        trails.min_active_sboxes(suc.DEFAULT_PERMUTATION, 2.5)
 
 
 def test_permutation_validated():
-    with pytest.raises(ValueError):
-        trails.validate_permutation([0, 0, 1, 2])
-    with pytest.raises(ValueError):
-        trails.validate_permutation(list(range(10)))  # not nibble aligned
+    for perm in ([0, 0, 1, 2], list(range(10))):  # not a bijection; not nibble aligned
+        with pytest.raises(ValueError):
+            trails.validate_permutation(perm)
+        with pytest.raises(ValueError):
+            trails.min_active_sboxes(perm, 3)
 
 
-def test_nibble_reach_default_perm():
-    reach = trails.nibble_reach(suc.DEFAULT_PERMUTATION)
-    assert len(reach) == 16
-    for masks in reach:
-        # four distinct destination nibbles -> all 15 nonempty subsets
-        assert len(masks) == 15
-        assert all(0 < m < (1 << 16) for m in masks)
+def test_min_active_sboxes_at_a_million_rounds_stays_small():
+    tracemalloc.start()
+    try:
+        active = trails.min_active_sboxes(suc.DEFAULT_PERMUTATION, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert active == 10**6 and type(active) is int
+    assert peak < 100_000
 
 
 def _permutations():
@@ -82,10 +87,69 @@ def _reach_oracle(perm):
     return reach
 
 
-def test_scatter_table_and_reach_match_oracles():
+def test_scatter_table_matches_oracle():
     for perm in _permutations():
         assert np.array_equal(trails.scatter_table(perm), _place_oracle(perm))
-        assert trails.nibble_reach(perm) == _reach_oracle(perm)
+
+
+def _successors(state: int, reach) -> set:
+    options = {0}
+    j = 0
+    while state:
+        if state & 1:
+            options = {base | mask for base in options for mask in reach[j]}
+        state >>= 1
+        j += 1
+    return options
+
+
+def _min_active_oracle(perm, rounds: int) -> int:
+    """Exact minimum number of active S-boxes over all nonzero truncated trails, by best-first search.
+
+    States are nibble-activity patterns.  One round maps each active nibble to
+    any nonempty subset of the nibbles its four output bits reach through the
+    permutation, and a trail's cost is its total count of active nibbles.  The
+    bound of one active box per remaining round is admissible; subset states
+    dominate superset states, so single-nibble starts suffice.
+    """
+    reach = _reach_oracle(perm)
+    n_nibbles = len(reach)
+    # f = cost so far + one box per remaining round (admissible), so the first
+    # state popped at the final round carries the exact minimum
+    frontier = [(1 + (rounds - 1), 1, 1 << j) for j in range(n_nibbles)]
+    heapq.heapify(frontier)
+    best = {}
+    while frontier:
+        f, depth, state = heapq.heappop(frontier)
+        cost = f - (rounds - depth)
+        if best.get((depth, state), 1 << 30) < cost:
+            continue
+        if depth == rounds:
+            return cost
+        for nxt in _successors(state, reach):
+            ncost = cost + bin(nxt).count("1")
+            key = (depth + 1, nxt)
+            if ncost < best.get(key, 1 << 30):
+                best[key] = ncost
+                heapq.heappush(frontier, (ncost + (rounds - depth - 1), depth + 1, nxt))
+    raise AssertionError("trail search exhausted without reaching the final round")
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 6])
+def test_min_active_sboxes_matches_search_on_fixed_permutations(rounds):
+    for perm in _permutations()[:3]:  # the default permutation, its inverse and the identity
+        assert trails.min_active_sboxes(perm, rounds) == _min_active_oracle(perm, rounds) == rounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n_nibbles=st.integers(min_value=1, max_value=16),
+    rounds=st.integers(min_value=1, max_value=6),
+)
+def test_min_active_sboxes_matches_search(seed, n_nibbles, rounds):
+    perm = substream(seed, "perm").permutation(4 * n_nibbles)
+    assert trails.min_active_sboxes(perm, rounds) == _min_active_oracle(perm, rounds)
 
 
 def _trail_sboxes():
@@ -211,11 +275,6 @@ def test_sample_trail_actives_peak_memory():
     assert peak <= 1.5e6
 
 
-@functools.lru_cache(maxsize=None)
-def _default_min_active(rounds):
-    return trails.min_active_sboxes(suc.DEFAULT_PERMUTATION, rounds)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -242,7 +301,7 @@ def test_sampled_differences_follow_each_rounds_ddt(seed, rounds, n_trails):
                 else:
                     assert b == 0
     assert totals.tolist() == trails.sample_trail_actives(sboxes, perm, rounds, n_trails, substream(seed, "prop")).tolist()
-    assert totals.min() >= _default_min_active(rounds)
+    assert totals.min() >= trails.min_active_sboxes(perm, rounds)
 
 
 def test_permutations_wider_than_64_bits_refused():
@@ -253,11 +312,12 @@ def test_permutations_wider_than_64_bits_refused():
         trails.scatter_table([-1, 0, 1, 2])
     with pytest.raises(ValueError):
         trails.sample_trail_actives(np.zeros((1, 16), dtype=np.uint8), wide, 1, 10, substream(39, "wide"))
-    assert trails.min_active_sboxes(wide, 3) == 3  # nibble masks of 32 nibbles still fit
+    assert trails.min_active_sboxes(wide, 3) == 3  # the bound needs no uint64 state
+    assert trails.min_active_sboxes(np.arange(512), 3) == 3
 
 
 def test_sampler_takes_nibble_aligned_widths():
-    # 12 bits is three nibbles but not whole bytes; the trail search takes it too
+    # 12 bits is three nibbles but not whole bytes; the trail bound takes it too
     perm = substream(38, "short").permutation(12)
     for rounds in (1, 4, 9):
         totals = trails.sample_trail_actives(_trail_sboxes(), perm, rounds, 200, substream(39, "short"))
