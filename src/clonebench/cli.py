@@ -17,7 +17,7 @@ from . import acoustic, attacks, fuzzy, metrics, protocol, puf, repro, suc
 from .bitstring import BitString
 from .environment import NOMINAL, EnvironmentConditions
 from .errors import DataFormatError
-from .jsonio import dumps_canonical, write_json
+from .jsonio import dumps_canonical, read_object, write_json
 from .rng import fresh_seed, substream
 
 log = logging.getLogger("clonebench")
@@ -457,16 +457,9 @@ def _apply_config(parser, argv, args):
     """
     if not args.config:
         return args
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise DataFormatError(f"config {args.config} must be a JSON object")
     flags = {a.dest: a for a in args.leaf._actions if a.option_strings and a.dest != argparse.SUPPRESS}
     defaults = {}
-    for key, value in values.items():
+    for key, value in read_object(args.config).items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise DataFormatError(f"config {args.config}: {key!r} is not a flag of this verb")

@@ -221,19 +221,15 @@ def fe_reproduce(w_noisy: BitString, helper: HelperData):
 fe_reproduce_detail = fe_reproduce  # the name protocol imports
 
 
-def entropy_accounting(
-    minentropy_in: float, leak_bits: float, epsilon: float = DEFAULT_EPSILON
-) -> int:
-    """Leftover-hash key budget: floor(H_in - leak - 2 log2(1/eps)), clamped at 0.
+def entropy_accounting(minentropy_in: float, leak_bits: float) -> int:
+    """Leftover-hash key budget at eps = DEFAULT_EPSILON: floor(H_in - leak - 2 log2(1/eps)), clamped at 0.
 
     For the code-offset sketch with its checksum,
     leak_bits = len(sketch) - n_blocks + CHECKSUM_BITS (see :func:`sketch_leak_bits`).
     """
     if minentropy_in <= 0:
         raise ValueError("minentropy_in must be > 0")
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    return max(0, math.floor(minentropy_in - leak_bits - 2 * math.log2(1.0 / epsilon)))
+    return max(0, math.floor(minentropy_in - leak_bits - 2 * math.log2(1.0 / DEFAULT_EPSILON)))
 
 
 def sketch_leak_bits(params: RepetitionParams) -> int:
@@ -265,5 +261,5 @@ def load_helper(path) -> HelperData:
             BitString.from_hex(doc["seed_hex"], params.code_len + doc["key_len"] - 1),
             doc["key_len"],
             params,
-            bytes.fromhex(doc["checksum_hex"]),
+            np.packbits(BitString.from_hex(doc["checksum_hex"], CHECKSUM_BITS).bits).tobytes(),
         )

@@ -1,4 +1,5 @@
-"""Canonical JSON persistence: versioned documents, byte-stable dumps."""
+"""Canonical JSON persistence: versioned documents, byte-stable dumps, and
+:func:`read_object`, the one reader of every JSON file, ``--config`` included."""
 import json
 import os
 from contextlib import contextmanager
@@ -45,14 +46,24 @@ def write_json(path, obj, secret: bool = False) -> None:
         os.close(dir_fd)
 
 
-def read_json(path) -> dict:
+def read_object(path) -> dict:
+    """The JSON object in ``path``, else DataFormatError (exit 3 on the CLI).
+
+    ValueError covers a file that is not UTF-8, not JSON or holds an integer past
+    Python's digit limit; RecursionError one nested deeper than the parser goes.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+def read_json(path) -> dict:
+    doc = read_object(path)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {version!r}")

@@ -40,7 +40,6 @@ import numpy as np
 
 from .acoustic import Fingerprint
 from .bitstring import BitString
-from .errors import DataFormatError
 from .fuzzy import HelperData, fe_reproduce_detail
 from .jsonio import decoding, dumps_canonical, read_json, write_json
 from .suc import BLOCK_BITS, KEY_BITS, SucDevice, descriptor_secret_strings
@@ -364,14 +363,13 @@ def save_store(store: CrpStore, path) -> None:
 
 def load_store(path) -> CrpStore:
     doc = read_json(path)
-    mode = doc.get("mode")
-    if mode not in (FORWARD, INVERSE):
-        raise DataFormatError(f"{path}: bad store mode {mode!r}")
-    store = CrpStore(mode=mode)
     with decoding(path):
+        store = CrpStore(mode=doc.get("mode"))
         for entry in [doc] if "device_id" in doc else doc["devices"]:
             if not isinstance(entry["device_id"], str):
                 raise TypeError(f"device_id must be a string, not {entry['device_id']!r}")
+            if entry["device_id"] in store.records:
+                raise ValueError(f"device {entry['device_id']!r} is listed twice: a second entry would hide the first")
             store.records[entry["device_id"]] = _entry_records(entry)
     return store
 

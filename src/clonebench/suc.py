@@ -319,5 +319,5 @@ def load_device(path) -> SucDevice:
             doc["device_id"],
             params,
             np.array(desc["sboxes"], dtype=np.uint8),
-            int(desc["master_key_hex"], 16),
+            BitString.from_hex(desc["master_key_hex"], KEY_BITS).to_int(),
         )

@@ -210,6 +210,18 @@ def test_config_key_or_value_that_fits_no_flag_exits_3(tmp_path, capsys, config)
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{", b'{"stages": ' + b"7" * 5000 + b"}", b'{"stages": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+    ids=["not-utf8", "5000-digits", "100000-deep"],
+)
+def test_config_file_that_does_not_decode_exits_3(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    code, out = run_cli(capsys, "puf", "simulate", "--model", "arbiter", "--seed", "3", "--config", str(cfg))
+    assert code == 3 and out == ""
+
+
 def test_config_switch_takes_a_boolean(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noiseless": "yes"}))

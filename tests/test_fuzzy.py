@@ -308,12 +308,12 @@ def test_toeplitz_keys_do_not_collide_for_fixed_seed():
 
 # ----------------------------------------------------------------- accounting
 def test_entropy_accounting():
-    assert fuzzy.entropy_accounting(256, 0, 1.0) == 256
+    assert fuzzy.entropy_accounting(256, 0) == 256 - 80  # 2 log2(1 / DEFAULT_EPSILON) = 80
     assert fuzzy.entropy_accounting(100, 100) == 0
     leak = fuzzy.sketch_leak_bits(fuzzy.RepetitionParams(15, 20))
     assert leak == 312  # 300 - 20 bits of sketch redundancy plus the 32-bit checksum
-    assert fuzzy.entropy_accounting(300, leak, 2.0**-40) == 0
-    assert fuzzy.entropy_accounting(500, leak, 2.0**-40) == 108
+    assert fuzzy.entropy_accounting(300, leak) == 0
+    assert fuzzy.entropy_accounting(500, leak) == 108
     with pytest.raises(ValueError):
         fuzzy.entropy_accounting(0, 0)
 

@@ -1,10 +1,14 @@
 """Every field of every persisted file kind, set to an ill-typed JSON value or
-deleted, either loads or raises DataFormatError (exit 3 on the CLI), never
-another exception."""
+deleted, and every byte string read as such a file, either loads or raises
+DataFormatError (exit 3 on the CLI), never another exception."""
 import copy
+import functools
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import BitString, acoustic, fuzzy, protocol, puf, substream, suc
 from clonebench.errors import DataFormatError
@@ -86,3 +90,53 @@ def test_every_ill_typed_or_missing_field_loads_or_raises_data_format_error(tmp_
             except Exception as exc:  # any other exception is the failure under test
                 escaped.append((field, "deleted" if value is DELETE else value, repr(exc)))
     assert escaped == []
+
+
+#: bytes that are no JSON object the parser can return: not UTF-8, an integer
+#: past Python's 4300-digit limit, and arrays nested past the recursion limit
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe{",
+    "5000-digits": b'{"schema_version": 1, "n_rep": ' + b"7" * 5000 + b"}",
+    "100000-deep": b'{"schema_version": 1, "records": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_undecodable_bytes_raise_data_format_error(tmp_path, kind, case):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(UNDECODABLE[case])
+    with pytest.raises(DataFormatError):
+        KINDS[kind][1](path)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary())
+def test_any_bytes_load_or_raise_data_format_error(tmp_path_factory, kind, raw):
+    path = tmp_path_factory.getbasetemp() / f"{kind}-bytes.json"
+    path.write_bytes(raw)
+    try:
+        KINDS[kind][1](path)
+    except DataFormatError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "kind, field, forms",
+    [
+        ("device", ("descriptor", "master_key_hex"), lambda h: [" 0x" + h, "+" + h, h[:10] + "_" + h[10:], "1"]),
+        ("helper", ("checksum_hex",), lambda h: [" ".join(h[i : i + 2] for i in range(0, 8, 2)), h[:4] + "\t" + h[4:]]),
+    ],
+    ids=["device-key", "helper-checksum"],
+)
+def test_loose_key_and_checksum_hex_raise_data_format_error(tmp_path, kind, field, forms):
+    # int(text, 16) and bytes.fromhex take each form; the file needs the exact-width hex it was written with
+    write, load = KINDS[kind]
+    path = tmp_path / f"{kind}.json"
+    write(path)
+    good = json.loads(path.read_text())
+    for form in forms(functools.reduce(operator.getitem, field, good)):
+        path.write_text(json.dumps(_mutated(good, field, form)))
+        with pytest.raises(DataFormatError):
+            load(path)

@@ -245,6 +245,19 @@ def test_store_rejects_a_challenge_stored_twice(tmp_path, twin):
         protocol.load_store(path)
 
 
+def test_store_rejects_a_device_listed_twice(tmp_path):
+    # the second entry would replace the first, and the next save would drop its records
+    store = _enrolled(_device(device_id="d"), 2)
+    protocol.enroll(_device(seed=3, device_id="e"), 1, substream(4, "en"), store)
+    path = tmp_path / "store.json"
+    protocol.save_store(store, path)
+    doc = json.loads(path.read_text())
+    doc["devices"][1]["device_id"] = "d"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="listed twice"):
+        protocol.load_store(path)
+
+
 @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
 def test_store_rejects_a_device_id_that_is_not_a_string(tmp_path, nested):
     path = tmp_path / "bad.json"
