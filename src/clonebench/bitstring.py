@@ -12,15 +12,16 @@ decoder and the row views :meth:`rows` hands out) are already 0/1 uint8 and
 read-only, so one private wrap stores them with no second check and no copy.
 
 A CRP store holds thousands of records, so the hex codec works a batch at a
-time and the scalar calls are batches of one.  :meth:`BitString.from_hex_batch`
-checks each string as :meth:`BitString.from_hex` does (stripped and
-lowercased, hex digits only, a digit count that fits the declared width, zero
-padding) and decodes them all with one ``np.unpackbits``;
-:meth:`BitString.to_hex_batch` left-aligns the rows in one matrix, packs it
-with one ``np.packbits`` and slices out each row's digits.  :meth:`BitString.rows`
-checks and copies a 0/1 matrix once and hands out its rows as read-only views,
-with no per-row ``__init__``.  :meth:`from_int` and :meth:`to_int` work on
-Python ints: the single-block cipher path calls them once per block.
+time and the scalar calls are batches of one.  Every batch has one declared
+width.  :meth:`BitString.from_hex_batch` checks each string as
+:meth:`BitString.from_hex` does (stripped and lowercased, hex digits only,
+exactly ``ceil(n_bits / 4)`` digits, zero padding) and decodes them all with
+one ``np.unpackbits``; :meth:`BitString.to_hex_batch` stacks rows of one width,
+packs them with one ``np.packbits`` and slices out each row's digits.
+:meth:`BitString.rows` checks and copies a 0/1 matrix once and hands out its
+rows as read-only views, with no per-row ``__init__``.  :meth:`from_int` and
+:meth:`to_int` work on Python ints: the single-block cipher path calls them
+once per block.
 """
 from __future__ import annotations
 
@@ -80,41 +81,34 @@ class BitString:
         return cls._wrap(bits)
 
     @classmethod
-    def from_hex(cls, text: str, n_bits: int | None = None) -> "BitString":
+    def from_hex(cls, text: str, n_bits: int) -> "BitString":
         return cls.from_hex_batch([text], n_bits)[0]
 
     @classmethod
-    def from_hex_batch(cls, texts, n_bits: int | None = None) -> list:
+    def from_hex_batch(cls, texts, n_bits: int) -> list:
         """Decode each hex string exactly as :meth:`from_hex` would, with one unpack.
 
-        Each string is stripped and lowercased and must be nonempty hex.  With
-        ``n_bits`` every string needs ``ceil(n_bits / 4)`` digits; without it a
-        string's width is four bits per digit, so widths may differ within a call.
-        Bits past a string's width must be zero.
+        Each string is stripped and lowercased and must be nonempty hex of
+        exactly ``ceil(n_bits / 4)`` digits, and its bits past ``n_bits`` must be zero.
         """
+        n_bits = operator.index(n_bits)
         texts = [text.strip().lower() for text in texts]
         if not texts:
             return []
         if not all(texts) or not _HEX_SET.issuperset("".join(texts)):
             bad = next(text for text in texts if not text or not _HEX_SET.issuperset(text))
             raise ValueError(f"not a hex string: {bad!r}")
-        digits = [len(text) for text in texts]
-        if n_bits is not None:
-            n_bits = operator.index(n_bits)
-            for d in digits:
-                if d != -(-n_bits // 4):
-                    raise ValueError(f"{n_bits} bits does not match {d} hex digits")
-        span = max(digits) + max(digits) % 2  # an even digit count per row
-        raw = bytes.fromhex("".join(text.ljust(span, "0") for text in texts))
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), span // 2), axis=1)
+        digits = -(-n_bits // 4)
+        wrong = set(map(len, texts)) - {digits}
+        if wrong:
+            raise ValueError(f"{n_bits} bits does not match {min(wrong)} hex digits")
+        pad = "0" * (digits % 2)  # an even digit count per row
+        raw = bytes.fromhex(pad.join(texts) + pad)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), -1), axis=1)
         bits.setflags(write=False)
-        if n_bits is None and len(set(digits)) > 1:
-            # undeclared widths of four bits per digit differ, and have no padding
-            return [cls._wrap(row[: 4 * d]) for row, d in zip(bits, digits)]
-        width = 4 * digits[0] if n_bits is None else n_bits
-        if bits[:, width:].any():
+        if bits[:, n_bits:].any():
             raise ValueError("padding bits past the declared length must be zero")
-        return list(map(cls._wrap, bits[:, :width]))
+        return list(map(cls._wrap, bits[:, :n_bits]))
 
     @classmethod
     def rows(cls, matrix) -> list:
@@ -160,15 +154,13 @@ class BitString:
 
     @staticmethod
     def to_hex_batch(bitstrings) -> list:
-        """:meth:`to_hex` of each BitString, with one pack over the left-aligned rows."""
-        widths = [b._bits.size for b in bitstrings]
-        aligned = np.zeros((len(widths), max(widths, default=0)), dtype=np.uint8)
-        for row, b in zip(aligned, bitstrings):
-            row[: b._bits.size] = b._bits
-        packed = np.packbits(aligned, axis=1)
+        """:meth:`to_hex` of each BitString, all of one width, with one pack; mixed widths are a ValueError."""
+        if not bitstrings:
+            return []
+        packed = np.packbits(np.stack([b._bits for b in bitstrings]), axis=1)
         text = packed.tobytes().hex()
-        step = 2 * packed.shape[1]
-        return [text[i * step : i * step + -(-n // 4)] for i, n in enumerate(widths)]
+        step, digits = 2 * packed.shape[1], -(-bitstrings[0]._bits.size // 4)
+        return [text[i : i + digits] for i in range(0, len(text), step)]
 
     def to_int(self) -> int:
         n = self._bits.size

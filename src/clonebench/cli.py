@@ -300,7 +300,7 @@ def _add_common(sp, handler, draws=True, seed_default=None):
         help_text = f"run seed (default: {'OS entropy' if seed_default is None else seed_default})"
         sp.add_argument("--seed", type=int, default=seed_default, help=help_text)
     sp.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
-    sp.add_argument("--out", default=None, help="also write the JSON result to this path (0600 if it holds a descriptor)")
+    sp.add_argument("--out", default=None, help="also write the JSON result to this path (0600)")
     sp.set_defaults(handler=handler, leaf=sp)
 
 
@@ -500,8 +500,7 @@ def main(argv=None) -> int:
             result["seed"] = args.seed
         line = dumps_canonical(result)
         if args.out:
-            # a descriptor rebuilds its device, so a result holding one is secret
-            write_json(args.out, result, secret="descriptor" in result)
+            write_json(args.out, result)
     except DataFormatError as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA

@@ -17,8 +17,8 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def write_json(path, obj, secret: bool = False) -> None:
-    """Write ``obj`` canonically and atomically; a secret document is 0600 before any byte lands.
+def write_json(path, obj) -> None:
+    """Write ``obj`` canonically and atomically to a 0600 file, private before any byte lands.
 
     The document goes to a fresh temp file beside ``path``, is fsynced and then
     renamed over ``path``, so a reader or a crash sees the old file or the new
@@ -28,7 +28,7 @@ def write_json(path, obj, secret: bool = False) -> None:
     doc = dict(obj)
     doc.setdefault("schema_version", SCHEMA_VERSION)
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if secret else 0o666)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(doc))

@@ -11,10 +11,11 @@ itself never sees cipher internals.
 The store is loaded, burned and saved around every CLI round, so persistence and
 enrollment work a matrix at a time: :func:`save_store` and :func:`load_store` run
 the batch hex codec of :mod:`clonebench.bitstring` once per column of a device
-entry (only the check that ``used`` is a JSON boolean stays per record), and
-:func:`enroll` draws the missing challenges in one ``rng.integers`` call (when
-their width is a multiple of four bits) and wraps challenges and replies with
-:meth:`BitString.rows`.
+entry, at the width its ``c_bits`` or ``r_bits`` declares (only the check that
+``used`` is a JSON boolean stays per record), so a device's records share one
+width.  :func:`enroll` draws the missing challenges in one ``rng.integers`` call
+(when their width is a multiple of four bits) and wraps challenges and replies
+with :meth:`BitString.rows`.
 
 A pinned challenge is found through an index, not a scan.  The store keeps one
 lookup state per device beside its records: the record list as last seen
@@ -333,9 +334,12 @@ def _device_entry(device_id: str, records) -> dict:
 
 
 def _entry_records(entry: dict) -> list:
-    rows = entry.get("records", [])
-    challenges = BitString.from_hex_batch([row["c_hex"] for row in rows], entry.get("c_bits"))
-    responses = BitString.from_hex_batch([row["r_hex"] for row in rows], entry.get("r_bits"))
+    rows = entry["records"]
+    c_hex, r_hex = [row["c_hex"] for row in rows], [row["r_hex"] for row in rows]
+    if not rows:
+        return []
+    challenges = BitString.from_hex_batch(c_hex, entry["c_bits"])
+    responses = BitString.from_hex_batch(r_hex, entry["r_bits"])
     out = []
     for row, challenge, response in zip(rows, challenges, responses):
         if not isinstance(row["used"], bool):
@@ -357,8 +361,11 @@ def _store_doc(store: CrpStore) -> dict:
 
 
 def save_store(store: CrpStore, path) -> None:
-    """Write the store 0600: its unused responses are all an impostor needs."""
-    write_json(path, _store_doc(store), secret=True)
+    """Write the store 0600: its unused responses are all an impostor needs.
+
+    A device whose records differ in width is a ValueError before any byte is written.
+    """
+    write_json(path, _store_doc(store))
 
 
 def load_store(path) -> CrpStore:

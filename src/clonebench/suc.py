@@ -289,7 +289,6 @@ def save_device(dev: SucDevice, path) -> None:
             "params": _params_doc(dev.params.rounds),
             "descriptor": descriptor_dict(dev),
         },
-        secret=True,
     )
 
 

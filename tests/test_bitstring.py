@@ -19,7 +19,7 @@ def test_rejects_non_binary_values():
 def test_hex_roundtrip_nibble_aligned():
     bs = BitString([1, 0, 1, 0, 1, 1, 1, 1])
     assert bs.to_hex() == "af"
-    assert BitString.from_hex("af") == bs
+    assert BitString.from_hex("af", 8) == bs
 
 
 def test_hex_roundtrip_partial_nibble():
@@ -53,11 +53,18 @@ def test_from_int_overflow():
 
 def test_from_hex_rejects_bad_digits_and_lengths():
     for text in ("", "  ", "0x1f", "1g", "+1", "1_0", "٣"):
-        with pytest.raises(ValueError):
-            BitString.from_hex(text)
+        with pytest.raises(ValueError, match="not a hex string"):  # at the width its digit count fits
+            BitString.from_hex(text, 4 * len(text))
     for n_bits in (0, 4, 9, 13):
         with pytest.raises(ValueError):
             BitString.from_hex("abc", n_bits)
+
+
+def test_hex_codec_takes_one_declared_width():
+    with pytest.raises(TypeError):
+        BitString.from_hex("af")
+    with pytest.raises(ValueError):
+        BitString.to_hex_batch([BitString.from_int(0, 64), BitString.from_int(0, 60)])
 
 
 def test_codecs_keep_msb_first_order():
@@ -108,19 +115,16 @@ def test_from_int_rejects_out_of_range_property(n_bits, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_sized_values(), max_size=8))  # widths mix within a batch
-def test_hex_batch_agrees_with_scalar_codecs_property(items):
-    bitstrings = [BitString.from_int(value, n_bits) for value, n_bits in items]
+@given(n_bits=st.integers(min_value=1, max_value=300), data=st.data())  # one width per batch
+def test_hex_batch_agrees_with_scalar_codecs_property(n_bits, data):
+    values = data.draw(st.lists(st.integers(0, (1 << n_bits) - 1), max_size=8))
+    bitstrings = [BitString.from_int(value, n_bits) for value in values]
     texts = BitString.to_hex_batch(bitstrings)
     assert texts == [b.to_hex() for b in bitstrings]
-    assert texts == [f"{value << (-n_bits % 4):0{-(-n_bits // 4)}x}" for value, n_bits in items]
-    # undeclared widths: four bits per digit, mixed within the call
-    assert BitString.from_hex_batch(texts) == [BitString.from_hex(t) for t in texts]
-    for n_bits in {n for _, n in items}:
-        same = [i for i, (_, n) in enumerate(items) if n == n_bits]
-        decoded = BitString.from_hex_batch([f" {texts[i].upper()}\n" for i in same], n_bits)
-        assert decoded == [bitstrings[i] for i in same]
-        assert decoded == [BitString.from_hex(texts[i], n_bits) for i in same]
+    assert texts == [f"{value << (-n_bits % 4):0{-(-n_bits // 4)}x}" for value in values]
+    decoded = BitString.from_hex_batch([f" {text.upper()}\n" for text in texts], n_bits)
+    assert decoded == bitstrings
+    assert decoded == [BitString.from_hex(text, n_bits) for text in texts]
 
 
 def _corrupt(text, kind):
@@ -199,7 +203,7 @@ def _made_by_the_class(draw):
     """A BitString from each constructor that wraps the class's own bits unchecked."""
     n_bits = draw(st.integers(min_value=1, max_value=200))
     value, other = (draw(st.integers(min_value=0, max_value=(1 << n_bits) - 1)) for _ in range(2))
-    kind = draw(st.sampled_from(["from_int", "random", "xor", "hex", "hex-undeclared"]))
+    kind = draw(st.sampled_from(["from_int", "random", "xor", "hex", "hex-scalar"]))
     if kind == "from_int":
         return BitString.from_int(value, n_bits)
     if kind == "random":
@@ -209,8 +213,7 @@ def _made_by_the_class(draw):
     texts = BitString.to_hex_batch([BitString.from_int(value, n_bits), BitString.from_int(other, n_bits)])
     if kind == "hex":
         return BitString.from_hex_batch(texts, n_bits)[draw(st.integers(0, 1))]
-    # undeclared and of different widths, so each row is cut to its own width
-    return BitString.from_hex_batch([texts[0], texts[1] + "f"])[draw(st.integers(0, 1))]
+    return BitString.from_hex(texts[1].upper(), n_bits)
 
 
 @settings(max_examples=300, deadline=None)

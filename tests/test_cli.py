@@ -118,7 +118,7 @@ def test_unsafe_dump_out_file_is_private(tmp_path, capsys):
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
-def test_out_file_without_a_descriptor_is_not_secret(tmp_path, capsys):
+def test_out_file_without_a_descriptor_is_private(tmp_path, capsys):
     path = tmp_path / "space.json"
     old_umask = os.umask(0o022)
     try:
@@ -127,7 +127,25 @@ def test_out_file_without_a_descriptor_is_not_secret(tmp_path, capsys):
         os.umask(old_umask)
     assert code == 0
     assert "descriptor" not in json.loads(path.read_text())
-    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_every_file_the_verbs_write_is_private(tmp_path, capsys):
+    # the fe generate result holds key_hex, though no descriptor
+    runs = [
+        ("fe", "generate", "--input-hex", "abc", "--n-rep", "3", "--blocks", "4", "--key-len", "8", "--seed", "7",
+         "--out", str(tmp_path / "k.json"), "--helper-out", str(tmp_path / "h.json")),
+        ("acoustic", "fingerprint", "--bins", "64", "--seed", "1", "--fingerprint-out", str(tmp_path / "fp.json")),
+    ]
+    old_umask = os.umask(0o022)
+    try:
+        codes = [run_cli(capsys, *argv)[0] for argv in runs]
+    finally:
+        os.umask(old_umask)
+    assert codes == [0, 0]
+    assert "key_hex" in json.loads((tmp_path / "k.json").read_text())
+    for name in ("k.json", "h.json", "fp.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o600, name
 
 
 def test_puf_simulate_has_no_save_flag(tmp_path, capsys):
@@ -436,6 +454,20 @@ def test_identify_store_with_ill_typed_field_exits_3(tmp_path, capsys, field, va
     dev, store = _enrolled(tmp_path, capsys)
     doc = json.loads(store.read_text())
     doc["records"][0][field] = value
+    store.write_text(json.dumps(doc))
+    before = store.read_bytes()
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "98")
+    assert (code, out) == (3, "")
+    assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("field", ["records", "c_bits", "r_bits"])
+def test_identify_store_without_a_field_exits_3(tmp_path, capsys, field):
+    # without records the device read as depleted (exit 1); without a width a
+    # record decoded at four bits per hex digit
+    dev, store = _enrolled(tmp_path, capsys)
+    doc = json.loads(store.read_text())
+    del doc[field]
     store.write_text(json.dumps(doc))
     before = store.read_bytes()
     code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "98")

@@ -184,6 +184,21 @@ def test_failed_store_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypa
     assert os.listdir(tmp_path) == ["store.json"]
 
 
+@pytest.mark.parametrize("column", ["challenge", "response"])
+def test_save_store_refuses_mixed_widths_before_writing(tmp_path, column):
+    # the entry declares one width per column, so a file of mixed widths could not load
+    store = _enrolled(_device(), 3)
+    path = tmp_path / "store.json"
+    protocol.save_store(store, path)
+    before = path.read_bytes()
+    rec = store.records["ecu-1"][1]
+    setattr(rec, column, BitString(getattr(rec, column).bits[:60]))
+    with pytest.raises(ValueError):
+        protocol.save_store(store, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["store.json"]
+
+
 def test_store_write_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     # an unsynced rename can be undone by a power loss, bringing back a store
     # whose burned record reads unused
@@ -223,6 +238,9 @@ def test_store_rejects_missing_or_ill_typed_fields(tmp_path):
         {"mode": "forward", "device_id": "x", "c_bits": "64", "records": [{"c_hex": "00", "r_hex": "00", "used": False}]},
         {"mode": "forward", "device_id": "x", "records": [{"c_hex": "00"}]},
         {"mode": "forward", "devices": [{"records": []}]},
+        {"mode": "forward", "device_id": "x"},  # no records is not a depleted device
+        {"mode": "forward", "device_id": "x", "r_bits": 8, "records": [{"c_hex": "08", "r_hex": "00", "used": False}]},
+        {"mode": "forward", "device_id": "x", "c_bits": 5, "records": [{"c_hex": "08", "r_hex": "00", "used": False}]},
     ):
         path.write_text(json.dumps(dict(doc, schema_version=1)))
         with pytest.raises(DataFormatError):
