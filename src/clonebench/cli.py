@@ -114,19 +114,12 @@ def cmd_fe_reproduce(args):
 # --------------------------------------------------------------------------- suc
 def cmd_suc_personalize(args):
     params = suc.SucParams(rounds=args.rounds)
-    device = suc.personalize(params, substream(args.seed, "personalize"), args.device_id)
-    result = {
-        "device_id": device.device_id,
-        "rounds": params.rounds,
-        "key_bits": suc.KEY_BITS,
-    }
+    # 128 bits of OS entropy that nothing records: nobody can rebuild the device
+    device = suc.personalize(params, np.random.default_rng(), args.device_id)
     if args.device_out:
         suc.save_device(device, args.device_out)
         log.info("secret device file written to %s", args.device_out)
-    if args.unsafe_dump:
-        result["descriptor"] = suc.descriptor_dict(device)
-        log.warning("descriptor printed to stdout at your request (--unsafe-dump)")
-    return result, EXIT_OK
+    return {"device_id": device.device_id, "rounds": params.rounds, "key_bits": suc.KEY_BITS}, EXIT_OK
 
 
 def cmd_suc_analyze(args):
@@ -226,7 +219,8 @@ def _store_session(args, device, mode=None):
 def cmd_enroll(args):
     device = suc.load_device(args.device)
     with _store_session(args, device, args.mode) as store:
-        stored = protocol.enroll(device, args.pairs, substream(args.seed, "enroll"), store)
+        # unrecorded OS entropy: nothing printed predicts the banked challenges
+        stored = protocol.enroll(device, args.pairs, np.random.default_rng(), store)
         protocol.save_store(store, args.store)
     log.info("stored %d CRPs for %s in %s", stored, device.device_id, args.store)
     return {"device_id": device.device_id, "stored": stored, "mode": store.mode}, EXIT_OK
@@ -295,7 +289,12 @@ def cmd_repro(args):
 
 # --------------------------------------------------------------------------- wiring
 def _add_common(sp, handler, draws=True, seed_default=None):
-    """The flags every verb takes, and --seed for the verbs that draw; main draws a missing seed and echoes it."""
+    """The flags every verb takes, and --seed for the simulation verbs that draw; main draws a missing seed and echoes it.
+
+    ``suc personalize`` and ``enroll`` draw too, but pass ``draws=False``: they
+    make device secrets from unrecorded OS entropy, since a seed they took or
+    echoed would rebuild the device or predict the store's challenges.
+    """
     if draws:
         help_text = f"run seed (default: {'OS entropy' if seed_default is None else seed_default})"
         sp.add_argument("--seed", type=int, default=seed_default, help=help_text)
@@ -366,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_.add_argument("--device-id", required=True)
     sp_.add_argument("--rounds", type=int, default=40)
     sp_.add_argument("--device-out", default=None, help="write the secret device file here")
-    sp_.add_argument("--unsafe-dump", action="store_true", help="print the descriptor to stdout")
-    _add_common(sp_, cmd_suc_personalize)
+    _add_common(sp_, cmd_suc_personalize, draws=False)
     sa = suc_sub.add_parser("analyze")
     sa.add_argument("--rounds", type=int, default=40)
     sa.add_argument("--samples", type=int, default=20000)
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pairs", type=int, required=True)
     e.add_argument("--store", required=True)
     e.add_argument("--mode", choices=[protocol.FORWARD, protocol.INVERSE], default=protocol.FORWARD, help="must match an existing store")
-    _add_common(e, cmd_enroll)
+    _add_common(e, cmd_enroll, draws=False)
 
     i = sub.add_parser("identify", help="run one identification round")
     _add_session(i)

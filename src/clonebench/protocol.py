@@ -335,9 +335,14 @@ def _device_entry(device_id: str, records) -> dict:
 
 def _entry_records(entry: dict) -> list:
     rows = entry["records"]
+    if not isinstance(rows, list):  # "" or {} would read as a depleted device
+        raise TypeError(f"records must be an array, not {rows!r}")
     c_hex, r_hex = [row["c_hex"] for row in rows], [row["r_hex"] for row in rows]
     if not rows:
         return []
+    for key in ("c_bits", "r_bits"):
+        if type(entry[key]) is not int:  # bools too
+            raise TypeError(f"{key} must be an integer, not {entry[key]!r}")
     challenges = BitString.from_hex_batch(c_hex, entry["c_bits"])
     responses = BitString.from_hex_batch(r_hex, entry["r_bits"])
     out = []

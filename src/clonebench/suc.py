@@ -314,9 +314,13 @@ def load_device(path) -> SucDevice:
         if doc["params"] != _params_doc(params.rounds):
             raise DataFormatError(f"{path}: params other than rounds differ from the cipher class")
         desc = doc["descriptor"]
-        return SucDevice(
+        device = SucDevice(
             doc["device_id"],
             params,
             np.array(desc["sboxes"], dtype=np.uint8),
             BitString.from_hex(desc["master_key_hex"], KEY_BITS).to_int(),
         )
+        # a bijection outside the class (the identity, say) would get the class's bounds
+        if not sbox_accepted_mask(device._sboxes).all():
+            raise ValueError(f"an S-box exceeds DDT max {SBOX_DDT_MAX} or Walsh max {SBOX_WALSH_MAX}")
+        return device

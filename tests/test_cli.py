@@ -1,18 +1,25 @@
 import json
+import logging
 import os
+import re
 import stat
 import subprocess
 import sys
 
 import pytest
 
-from clonebench import acoustic, cli, protocol, repro
+from clonebench import acoustic, cli, protocol, repro, substream, suc
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _device_file(path, device_id, rounds, seed):
+    """A fixed device made through the library: ``suc personalize`` takes no seed."""
+    suc.save_device(suc.personalize(suc.SucParams(rounds=rounds), substream(seed, "personalize"), device_id), path)
 
 
 def test_space_verb_exact_value(capsys):
@@ -64,16 +71,11 @@ def test_malformed_data_file_exit_code(tmp_path, capsys):
 def test_full_protocol_flow_via_cli(tmp_path, capsys):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"
-    code, out = run_cli(
-        capsys, "suc", "personalize", "--device-id", "ecu-9", "--rounds", "8",
-        "--seed", "44", "--device-out", str(dev),
-    )
+    code, out = run_cli(capsys, "suc", "personalize", "--device-id", "ecu-9", "--rounds", "8", "--device-out", str(dev))
     assert code == 0
-    assert "descriptor" not in json.loads(out)  # secret unless --unsafe-dump
+    assert "descriptor" not in json.loads(out)
 
-    code, out = run_cli(
-        capsys, "enroll", "--device", str(dev), "--pairs", "3", "--store", str(store), "--seed", "45",
-    )
+    code, out = run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "3", "--store", str(store))
     assert code == 0 and json.loads(out)["stored"] == 3
 
     for expected_code in (0, 0, 0, 1):  # three records, then depleted
@@ -82,40 +84,79 @@ def test_full_protocol_flow_via_cli(tmp_path, capsys):
     assert json.loads(out)["reason"] == "depleted"
 
 
+SECRET_VERBS = {
+    "personalize": ["suc", "personalize", "--device-id", "s", "--rounds", "4"],
+    "enroll": ["enroll", "--device", "dev.json", "--pairs", "2", "--store", "store.json"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(SECRET_VERBS))
+def test_secret_making_verbs_take_no_seed_and_dump_nothing(tmp_path, capsys, verb):
+    argv = SECRET_VERBS[verb]
+    for flag in (["--seed", "1"], ["--unsafe-dump"]):
+        assert run_cli(capsys, *argv, *flag) == (2, "")
+    for key in ("seed", "unsafe_dump"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == (3, "")
+
+
+def _integers(*texts):
+    """Every run of digits in ``texts``: any of them could be a seed."""
+    return {int(m) for text in texts for m in re.findall(r"\d+", text)}
+
+
+def test_personalize_makes_a_new_unrecorded_device_each_run(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="clonebench")
+    runs = []
+    for name in ("a", "b"):
+        dev, out_file = tmp_path / f"{name}.json", tmp_path / f"{name}-out.json"
+        code, out = run_cli(
+            capsys, "suc", "personalize", "--device-id", "s", "--rounds", "4", "--device-out", str(dev), "--out", str(out_file),
+        )
+        assert code == 0
+        assert json.loads(out) == {"device_id": "s", "key_bits": suc.KEY_BITS, "rounds": 4}
+        runs.append((dev, out + out_file.read_text()))
+    assert runs[0][0].read_bytes() != runs[1][0].read_bytes()
+    assert "seed" not in caplog.text
+    for dev, printed in runs:
+        made = suc.descriptor_dict(suc.load_device(dev))
+        for value in _integers(printed, caplog.text):
+            rebuilt = suc.personalize(suc.SucParams(rounds=4), substream(value, "personalize"), "s")
+            assert suc.descriptor_dict(rebuilt) != made, value
+
+
+def test_enroll_banks_unrecorded_challenges_each_run(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="clonebench")
+    dev = tmp_path / "dev.json"
+    _device_file(dev, "e", 4, 40)
+    device = suc.load_device(dev)
+    banked = []
+    for name in ("a", "b"):
+        store = tmp_path / f"{name}.json"
+        code, out = run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "3", "--store", str(store))
+        assert code == 0
+        assert json.loads(out) == {"device_id": "e", "mode": protocol.FORWARD, "stored": 3}
+        challenges = [r.challenge for r in protocol.load_store(store).records["e"]]
+        banked.append(challenges)
+        for value in _integers(out, caplog.text):
+            predicted = protocol.CrpStore()
+            protocol.enroll(device, 3, substream(value, "enroll"), predicted)
+            assert [r.challenge for r in predicted.records["e"]] != challenges, value
+    assert banked[0] != banked[1]
+    assert "seed" not in caplog.text
+
+
 def test_identify_tamper_bits_reject(tmp_path, capsys):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "e", "--rounds", "8", "--seed", "47", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store), "--seed", "48")
+    _device_file(dev, "e", 8, 47)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store))
     code, out = run_cli(
         capsys, "identify", "--device", str(dev), "--store", str(store), "--tamper-bits", "5", "--seed", "49",
     )
     assert code == 1
     assert json.loads(out)["reason"] == "mismatch"
-
-
-def test_unsafe_dump_gates_descriptor(capsys):
-    code, out = run_cli(
-        capsys, "suc", "personalize", "--device-id", "d", "--rounds", "4", "--seed", "50", "--unsafe-dump",
-    )
-    doc = json.loads(out)
-    assert code == 0
-    assert "sboxes" in doc["descriptor"]
-
-
-def test_unsafe_dump_out_file_is_private(tmp_path, capsys):
-    path = tmp_path / "dump.json"
-    old_umask = os.umask(0o022)
-    try:
-        code, _ = run_cli(
-            capsys, "suc", "personalize", "--device-id", "d", "--rounds", "4", "--seed", "51",
-            "--unsafe-dump", "--out", str(path),
-        )
-    finally:
-        os.umask(old_umask)
-    assert code == 0
-    assert "master_key_hex" in json.loads(path.read_text())["descriptor"]
-    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_out_file_without_a_descriptor_is_private(tmp_path, capsys):
@@ -252,16 +293,16 @@ def test_config_switch_takes_a_boolean(tmp_path, capsys):
 
 def test_enroll_mode_must_match_existing_store(tmp_path, capsys):
     dev = tmp_path / "dev.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "m", "--rounds", "4", "--seed", "80", "--device-out", str(dev))
+    _device_file(dev, "m", 4, 80)
     for mode in ("forward", "inverse"):
         store = tmp_path / f"{mode}.json"
         other = "inverse" if mode == "forward" else "forward"
-        argv = ["enroll", "--device", str(dev), "--pairs", "2", "--store", str(store), "--seed", "81"]
+        argv = ["enroll", "--device", str(dev), "--pairs", "2", "--store", str(store)]
         assert cli.main(argv + ["--mode", mode]) == 0
         banked = store.read_text()
         assert cli.main(argv + ["--mode", other]) == 2
         assert store.read_text() == banked
-        assert cli.main(argv + ["--mode", mode, "--seed", "82"]) == 0
+        assert cli.main(argv + ["--mode", mode]) == 0
         assert json.loads(store.read_text())["mode"] == mode
 
 
@@ -342,8 +383,8 @@ def test_config_seed_is_resolved_and_echoed(tmp_path, capsys):
 def test_concurrent_identify_runs_consume_each_record_once(tmp_path, capsys):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "lk", "--rounds", "4", "--seed", "90", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "50", "--store", str(store), "--seed", "91")
+    _device_file(dev, "lk", 4, 90)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "50", "--store", str(store))
     workers, rounds = 4, 10
     argv = ["identify", "--device", str(dev), "--store", str(store), "--seed", "92"]
     script = f"import sys\nfrom clonebench import cli\nsys.exit(max(cli.main({argv!r}) for _ in range({rounds})))"
@@ -365,8 +406,8 @@ def test_concurrent_identify_runs_consume_each_record_once(tmp_path, capsys):
 def _enrolled(tmp_path, capsys, pairs=3):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "bn", "--rounds", "4", "--seed", "93", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", str(pairs), "--store", str(store), "--seed", "94")
+    _device_file(dev, "bn", 4, 93)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", str(pairs), "--store", str(store))
     return dev, store
 
 
@@ -422,7 +463,7 @@ def test_identify_store_with_malformed_record_widths_exits_3(tmp_path, capsys, v
         rec["c_hex"] = rec["c_hex"][:15]
     store.write_text(json.dumps(doc))
     before = store.read_bytes()
-    code, out = run_cli(capsys, *verb, "--device", str(dev), "--store", str(store), "--seed", "97")
+    code, out = run_cli(capsys, *verb, "--device", str(dev), "--store", str(store))
     assert (code, out) == (3, "")
     assert store.read_bytes() == before  # nothing burned or banked
 
@@ -461,6 +502,19 @@ def test_identify_store_with_ill_typed_field_exits_3(tmp_path, capsys, field, va
     assert store.read_bytes() == before
 
 
+@pytest.mark.parametrize("records", ["", {}], ids=["string", "object"])
+def test_identify_store_whose_records_are_no_array_exits_3(tmp_path, capsys, records):
+    # either one read as a device without records: depleted, exit 1
+    dev, store = _enrolled(tmp_path, capsys)
+    doc = json.loads(store.read_text())
+    doc["records"] = records
+    store.write_text(json.dumps(doc))
+    before = store.read_bytes()
+    code, out = run_cli(capsys, "identify", "--device", str(dev), "--store", str(store), "--seed", "98")
+    assert (code, out) == (3, "")
+    assert store.read_bytes() == before
+
+
 @pytest.mark.parametrize("field", ["records", "c_bits", "r_bits"])
 def test_identify_store_without_a_field_exits_3(tmp_path, capsys, field):
     # without records the device read as depleted (exit 1); without a width a
@@ -486,8 +540,8 @@ def test_combined_verify_verb(tmp_path, capsys):
     store = tmp_path / "store.json"
     fp = tmp_path / "fp.json"
     helper = tmp_path / "helper.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "cv", "--rounds", "8", "--seed", "60", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store), "--seed", "61")
+    _device_file(dev, "cv", 8, 60)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store))
     _, out = run_cli(capsys, "acoustic", "fingerprint", "--seed", "62", "--noiseless", "--fingerprint-out", str(fp))
     bits_hex = json.loads(out)["bits_hex"]
     # n_rep = 1: the noiseless reading reproduces exactly, no correction needed
@@ -520,8 +574,8 @@ def test_stdout_stays_strict_json(tmp_path, capsys, monkeypatch):
     for model, sigma in (("arbiter", "nan"), ("ro", "inf"), ("xor", "nan"), ("arbiter", "-inf")):
         assert run_cli(capsys, "puf", "simulate", "--model", model, "--noise-sigma", sigma, "--seed", "1") == (2, "")
     dev, store, fp, helper = (tmp_path / name for name in ("dev.json", "store.json", "fp.json", "helper.json"))
-    run_cli(capsys, "suc", "personalize", "--device-id", "nan", "--rounds", "4", "--seed", "75", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "1", "--store", str(store), "--seed", "76")
+    _device_file(dev, "nan", 4, 75)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "1", "--store", str(store))
     _, out = run_cli(capsys, "acoustic", "fingerprint", "--bins", "32", "--noiseless", "--fingerprint-out", str(fp), "--seed", "77")
     run_cli(
         capsys, "fe", "generate", "--input-hex", _strict_json(out)["bits_hex"], "--n-rep", "1", "--blocks", "32",
@@ -547,8 +601,8 @@ def test_combined_verify_tau_bounds_the_corrected_fraction(tmp_path, capsys):
     store = tmp_path / "store.json"
     fp = tmp_path / "fp.json"
     helper = tmp_path / "helper.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "tau", "--rounds", "4", "--seed", "65", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store), "--seed", "66")
+    _device_file(dev, "tau", 4, 65)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "2", "--store", str(store))
     _, out = run_cli(capsys, "acoustic", "fingerprint", "--bins", "96", "--noiseless", "--fingerprint-out", str(fp), "--seed", "67")
     # enroll a reading 4 bits off, one in each of four 3-bit repetition blocks:
     # the fingerprint reproduces the key with a corrected fraction of 4/96
@@ -612,16 +666,19 @@ def test_malformed_device_file_exit_code(tmp_path, capsys):
     missing = _write_doc(tmp_path / "missing.json", {"kind": "suc_device", "device_id": "x"})
     assert cli.main(["suc", "encrypt", "--device", missing, "--block-hex", "00"]) == 3
     dev = tmp_path / "dev.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "m", "--rounds", "4", "--seed", "70", "--device-out", str(dev))
+    _device_file(dev, "m", 4, 70)
     doc = json.loads(dev.read_text())
     doc["descriptor"]["sboxes"][0] = [0] * 16
     bad_sbox = _write_doc(tmp_path / "bad-sbox.json", doc)
     assert cli.main(["suc", "encrypt", "--device", bad_sbox, "--block-hex", "00"]) == 3
+    doc["descriptor"]["sboxes"][0] = list(range(16))  # a bijection, but outside the cipher class
+    identity = _write_doc(tmp_path / "identity-sbox.json", doc)
+    assert run_cli(capsys, "suc", "encrypt", "--device", identity, "--block-hex", "0123456789abcdef") == (3, "")
 
 
 def test_device_file_with_other_cipher_class_exit_code(tmp_path, capsys):
     dev = tmp_path / "dev.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "k", "--rounds", "4", "--seed", "75", "--device-out", str(dev))
+    _device_file(dev, "k", 4, 75)
     block = ["--block-hex", "0123456789abcdef"]
     assert cli.main(["suc", "encrypt", "--device", str(dev)] + block) == 0
     doc = json.loads(dev.read_text())
@@ -660,7 +717,7 @@ def test_helper_with_key_len_below_one_or_bool_exits_3(tmp_path, capsys, key_len
 def test_device_with_bool_rounds_exits_3(tmp_path, capsys):
     # JSON true equals 1 in Python, so a 1-round device read it as its round count
     dev = tmp_path / "dev.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "b", "--rounds", "1", "--seed", "82", "--device-out", str(dev))
+    _device_file(dev, "b", 1, 82)
     block = ["--block-hex", "0123456789abcdef"]
     assert cli.main(["suc", "encrypt", "--device", str(dev)] + block) == 0
     doc = json.loads(dev.read_text())
@@ -688,8 +745,8 @@ def test_malformed_fingerprint_file_exit_code(tmp_path, capsys):
     dev = tmp_path / "dev.json"
     store = tmp_path / "store.json"
     helper = tmp_path / "helper.json"
-    run_cli(capsys, "suc", "personalize", "--device-id", "fp", "--rounds", "4", "--seed", "71", "--device-out", str(dev))
-    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "1", "--store", str(store), "--seed", "72")
+    _device_file(dev, "fp", 4, 71)
+    run_cli(capsys, "enroll", "--device", str(dev), "--pairs", "1", "--store", str(store))
     run_cli(
         capsys, "fe", "generate", "--input-hex", "abcdef", "--n-rep", "3", "--blocks", "8",
         "--key-len", "16", "--helper-out", str(helper), "--seed", "73",

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from clonebench import cli
+from clonebench import cli, substream, suc
 
 
 def _run(capsys, argv):
@@ -40,7 +40,6 @@ STATELESS = [
     ("fe-design", "fe design --ber 0.1 --blocks 8", 0, "62728e5968f3319b4bb02f9c0ca2b6045084dfeafda4e34f62393232397fa87a"),
     ("fe-generate", "fe generate --input-hex abcdef --n-rep 3 --blocks 8 --key-len 16 --seed 106", 0, "ebee2e1935b049d484dc662c8b8b96b3f53c343434883bcfaefc9b5e4ddadc67"),
     ("suc-analyze", "suc analyze --rounds 4 --samples 1000 --seed 107", 0, "720d88b43d327e88360bef8618de8a7771b01148739c2b44c39594239ee5b707"),
-    ("suc-personalize-dump", "suc personalize --device-id g --rounds 4 --unsafe-dump --seed 108", 0, "5932cf736f93627fe6407781fa0f8bc0da6994153b920501c187d20efc8c6349"),
     ("acoustic-fingerprint", "acoustic fingerprint --bins 64 --seed 109", 0, "258daad686cf82386b865d4b0e12dee750e0999f9d1964e16e12db71af1054c4"),
     ("acoustic-fingerprint-noiseless", "acoustic fingerprint --bins 64 --noiseless --seed 109", 0, "2c4871b09ca404bd56900a65dbbd1f6d6f6a0bd7766acc2bcd7206c331c08869"),
     ("acoustic-fingerprint-temp", "acoustic fingerprint --bins 64 --smoothing 0.5 --temp 60 --volt 1.2 --seed 109", 0, "5cd0914a7afe0a21c33838b35280758b62d137f93c221bf7bea3590d6ab145f5"),
@@ -63,15 +62,17 @@ def test_stateless_verb_stdout(capsys, argv, code, sha):
 
 
 # (step, argv template, exit code, sha256 of stdout); {dir} is the work directory
-# and {bits} the noiseless fingerprint printed by the "fingerprint" step
+# and {bits} the noiseless fingerprint printed by the "fingerprint" step.  The
+# CLI makes a device from unrecorded entropy, so the flow's fixed dev.json comes
+# from the library, and the "personalize" step writes a device of its own.
 FLOW = [
-    ("personalize", "suc personalize --device-id flow --rounds 6 --device-out {dir}/dev.json --seed 120", 0, "263c06fe41f9e73256b55527cbb8d825be2384af419ce279ff56a743da86ce3b"),
+    ("personalize", "suc personalize --device-id flow --rounds 6 --device-out {dir}/fresh.json", 0, "fb14e9c0de2c26f0a9622f4aac1fe64b1c18a88010f9f3a3d6dc87a6d193406c"),
     ("encrypt", "suc encrypt --device {dir}/dev.json --block-hex 0123456789abcdef", 0, "6196e949bc708c94af237e2aa29d1262922aba177809b02c4c3a3dd14ebd26fb"),
-    ("enroll", "enroll --device {dir}/dev.json --pairs 6 --store {dir}/fwd.json --seed 121", 0, "5bf7bd9243d43cdfca83a33944a0f05fe372bb0da29ebc9d98540d6658f99d8c"),
+    ("enroll", "enroll --device {dir}/dev.json --pairs 6 --store {dir}/fwd.json", 0, "8205b268ec6d87fcf66a63439cba2f8e6115b44b9b48a023eac7738c13ebac70"),
     ("identify-forward", "identify --device {dir}/dev.json --store {dir}/fwd.json --seed 122", 0, "d143161c42629f676d0bde491be7a215bc87b3583c006be3661ac3f1630603bd"),
     ("identify-impostor", "identify --device {dir}/dev.json --store {dir}/fwd.json --impostor --seed 123", 1, "abc1abbdc7d2361bff4cc5364b5e0a4c038f7aad36408318aa2eee0ac2fbecdd"),
     ("identify-tamper", "identify --device {dir}/dev.json --store {dir}/fwd.json --tamper-bits 0,5 --seed 124", 1, "75f8f9fed95f49b929358408b43806bcb8e76eb1deb1312000d6b6e5fe83ad6f"),
-    ("enroll-inverse", "enroll --device {dir}/dev.json --pairs 2 --store {dir}/inv.json --mode inverse --seed 125", 0, "f5be33a89e1254570df42f89aeb3fa6d82f6d4109d165e621204997fbab29274"),
+    ("enroll-inverse", "enroll --device {dir}/dev.json --pairs 2 --store {dir}/inv.json --mode inverse", 0, "ecc6d8a2967fd94f9f1967562440211c09e13f116abb61034f983e750e5854d7"),
     ("identify-inverse", "identify --device {dir}/dev.json --store {dir}/inv.json --seed 126", 0, "ff39265cf7d4bd5f6b917a617a82fcbe3c32fb05d8cb885b5116c6f2f9d7f18c"),
     ("fingerprint", "acoustic fingerprint --noiseless --fingerprint-out {dir}/fp.json --seed 127", 0, "498b7973fd3679e4cfd9897bfb48a0a88c60113695fe52645fe34ea0d014506c"),
     ("helper", "fe generate --input-hex {bits} --n-rep 1 --blocks 256 --key-len 64 --helper-out {dir}/helper.json --seed 128", 0, "e2012e6196de3e64db9320b8ff9a7571cc385ff725e7b6c4638bcf641e0e735e"),
@@ -82,6 +83,8 @@ FLOW = [
 
 
 def test_stateful_flow_stdout(tmp_path, capsys):
+    device = suc.personalize(suc.SucParams(rounds=6), substream(120, "personalize"), "flow")
+    suc.save_device(device, tmp_path / "dev.json")
     bits = ""
     got, want = [], []
     for step, template, code, sha in FLOW:

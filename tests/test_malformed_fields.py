@@ -140,3 +140,13 @@ def test_loose_key_and_checksum_hex_raise_data_format_error(tmp_path, kind, fiel
         path.write_text(json.dumps(_mutated(good, field, form)))
         with pytest.raises(DataFormatError):
             load(path)
+
+
+def test_device_with_an_sbox_outside_the_class_raises_data_format_error(tmp_path):
+    # the identity is a bijection, so only the class's DDT and Walsh audit refuses it
+    path = tmp_path / "device.json"
+    _device(path)
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps(_mutated(good, ("descriptor", "sboxes", 0), list(range(16)))))
+    with pytest.raises(DataFormatError, match="S-box"):
+        suc.load_device(path)

@@ -241,6 +241,10 @@ def test_store_rejects_missing_or_ill_typed_fields(tmp_path):
         {"mode": "forward", "device_id": "x"},  # no records is not a depleted device
         {"mode": "forward", "device_id": "x", "r_bits": 8, "records": [{"c_hex": "08", "r_hex": "00", "used": False}]},
         {"mode": "forward", "device_id": "x", "c_bits": 5, "records": [{"c_hex": "08", "r_hex": "00", "used": False}]},
+        {"mode": "forward", "device_id": "x", "records": ""},  # not an array: read as a depleted device
+        {"mode": "forward", "device_id": "x", "records": {}},
+        # JSON true equals 1, so these records read as one bit wide
+        {"mode": "forward", "device_id": "x", "c_bits": True, "r_bits": True, "records": [{"c_hex": "8", "r_hex": "8", "used": False}]},
     ):
         path.write_text(json.dumps(dict(doc, schema_version=1)))
         with pytest.raises(DataFormatError):
