@@ -36,7 +36,8 @@ TEMP_COEFF = 0.002
 #: per-component complex measurement noise
 MEAS_NOISE_SIGMA = 0.15
 
-_GRAM_ROWS = 64  # Gram rows per block in pairwise_distance_stats: 256 KB at 1000 float32 columns
+_GRAM_ROWS = 64  # Gram rows per block of pair counts: 256 KB and its 248 KB triangle at 1000 columns
+_SUM_LEAF = 2**15  # distances per streamed subtree of numpy's pairwise sum (>= 128): 256 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,40 +150,98 @@ def challenge_space_bits(spec: ChallengeSpaceSpec) -> float:
     return math.log2(math.comb(spec.k, spec.p)) + spec.p * math.log2(spec.t)
 
 
-def pairwise_distance_stats(bit_matrix: np.ndarray) -> tuple:
-    """(mean, sample variance) of fractional Hamming distance over all device pairs."""
-    mat = np.asarray(bit_matrix)
-    if mat.ndim != 2 or mat.shape[0] < 2:
-        raise ValueError("need a (devices, bits) matrix with >= 2 rows")
-    n, width = mat.shape
-    # Hamming distances ones_i + ones_j - 2 gram_ij from a BLAS Gram of 0/1 entries:
-    # every intermediate is an integer of magnitude <= 2 * width, which float32 holds
-    # exactly up to width 2^23 (float64 up to 2^52), so the distances are exact
-    mat = mat.astype(np.float32 if width <= 2**23 else np.float64)
+def _pair_counts(mat: np.ndarray):
+    """Hamming counts of the pairs i < j in np.triu_indices order, one Gram block at a time."""
+    # ones_i + ones_j - 2 gram_ij from a BLAS Gram of 0/1 entries: every intermediate
+    # is an integer of magnitude <= 2 * width, which float32 holds exactly up to
+    # width 2^23 (float64 up to 2^52), so the counts are exact
+    n = mat.shape[0]
     ones = mat.sum(axis=1)
-    # the upper triangle in row-major order, as np.triu_indices would gather it,
-    # built _GRAM_ROWS rows of the Gram at a time: row i holds its n - 1 - i pairs
-    values = np.empty(n * (n - 1) // 2)
-    end = 0
+    upper = np.arange(n - 1) >= np.arange(_GRAM_ROWS)[:, None]  # block row k pairs with columns k..
     for top in range(0, n - 1, _GRAM_ROWS):
         rows = slice(top, min(top + _GRAM_ROWS, n - 1))
         hd = mat[rows] @ mat[top + 1 :].T  # column c is row top + 1 + c
         hd *= -2
         hd += ones[rows, None]
         hd += ones[top + 1 :]
-        for k, row in enumerate(hd):
-            start, end = end, end + n - 1 - (top + k)
-            values[start:end] = row[k:]
-    values /= width
-    # numpy's own mean and var(ddof=1), step for step and in place: both are
-    # np.add.reduce of the same contiguous vector divided by the same count,
-    # so each equals what the library calls return, to the bit
-    mean = np.add.reduce(values) / values.size
-    if values.size < 2:
-        return float(mean), float("nan")
-    values -= mean
-    np.multiply(values, values, out=values)
-    return float(mean), float(np.add.reduce(values) / (values.size - 1))
+        hd = hd[upper[: hd.shape[0], : hd.shape[1]]]  # each row's pairs, row after row
+        yield hd
+        del hd  # once the consumer lets go, freed before the next block is made
+
+
+def _tree_sum(size: int, leaf_sum) -> float:
+    """np.add.reduce of a size-term float64 vector from leaf_sum(m), the reduce of its next m terms.
+
+    numpy sums a run of more than 128 terms as the sum of its two halves, split at
+    size // 2 rounded down to a multiple of 8 (pairwise summation), and the split
+    depends on the length alone.  So each subtree of at most _SUM_LEAF terms is one
+    np.add.reduce, and adding those sums up the same tree gives numpy's sum to the bit.
+    """
+    if size <= _SUM_LEAF:
+        return leaf_sum(size)
+    half = size // 2 - size // 2 % 8
+    return _tree_sum(half, leaf_sum) + _tree_sum(size - half, leaf_sum)
+
+
+def _distance_sum(mat: np.ndarray, finish=None) -> float:
+    """np.add.reduce of the float64 distances count / width of every pair, each leaf
+    of at most _SUM_LEAF of them first put through finish in place."""
+    n, width = mat.shape
+    blocks = _pair_counts(mat)
+    buffer = np.empty(min(n * (n - 1) // 2, _SUM_LEAF))
+    block, at = np.empty(0), 0
+
+    def leaf_sum(size):
+        nonlocal block, at
+        leaf = buffer[:size]
+        filled = 0
+        while filled < size:
+            if at == block.size:
+                block = None  # freed before the next block is made
+                block, at = next(blocks), 0
+            take = min(size - filled, block.size - at)
+            np.divide(block[at : at + take], width, out=leaf[filled : filled + take], dtype=np.float64)
+            filled += take
+            at += take
+        if finish is not None:
+            finish(leaf)
+        return np.add.reduce(leaf)
+
+    return float(_tree_sum(n * (n - 1) // 2, leaf_sum))
+
+
+def pairwise_distance_stats(bit_matrix: np.ndarray) -> tuple:
+    """(mean, sample variance) of fractional Hamming distance over all device pairs.
+
+    Both equal np.mean and np.var(ddof=1) of the n(n-1)/2 distances gathered with
+    np.triu_indices, to the bit, yet the distances are never held all at once: they
+    stream through numpy's own summation tree, made again for the variance pass.
+    """
+    mat = np.asarray(bit_matrix)
+    if mat.ndim != 2 or mat.shape[0] < 2 or mat.shape[1] < 1:
+        raise ValueError("need a (devices, bits) matrix with >= 2 rows and >= 1 bit")
+    n, width = mat.shape
+    pairs = n * (n - 1) // 2
+    mat = mat.astype(np.float32 if width <= 2**23 else np.float64)
+    if width & (width - 1) == 0 and pairs * width <= 2**53:
+        # each distance is a multiple of 1 / width, and so is each partial sum, which is
+        # at most pairs: all exact in float64, so numpy's sum in any order is the exact
+        # total, where a bit column's z ones differ from its n - z zeros in z (n - z) pairs
+        ones = np.count_nonzero(mat, axis=0)
+        total = int(ones @ (n - ones)) / width
+    else:
+        total = _distance_sum(mat)
+    # numpy's own steps: np.add.reduce of the distances over the count, then of their
+    # squared deviations, each taken in place, over the count - 1
+    mean = total / pairs
+    if pairs < 2:
+        return mean, float("nan")
+
+    def squared_deviations(leaf):
+        leaf -= mean
+        np.multiply(leaf, leaf, out=leaf)
+
+    return mean, _distance_sum(mat, squared_deviations) / (pairs - 1)
 
 
 def dof_estimate(bit_matrix: np.ndarray) -> EntropyEstimate:

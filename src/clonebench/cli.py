@@ -116,9 +116,8 @@ def cmd_suc_personalize(args):
     params = suc.SucParams(rounds=args.rounds)
     # 128 bits of OS entropy that nothing records: nobody can rebuild the device
     device = suc.personalize(params, np.random.default_rng(), args.device_id)
-    if args.device_out:
-        suc.save_device(device, args.device_out)
-        log.info("secret device file written to %s", args.device_out)
+    suc.save_device(device, args.device_out)
+    log.info("secret device file written to %s", args.device_out)
     return {"device_id": device.device_id, "rounds": params.rounds, "key_bits": suc.KEY_BITS}, EXIT_OK
 
 
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_ = suc_sub.add_parser("personalize")
     sp_.add_argument("--device-id", required=True)
     sp_.add_argument("--rounds", type=int, default=40)
-    sp_.add_argument("--device-out", default=None, help="write the secret device file here")
+    sp_.add_argument("--device-out", required=True, help="write the secret device file here")
     _add_common(sp_, cmd_suc_personalize, draws=False)
     sa = suc_sub.add_parser("analyze")
     sa.add_argument("--rounds", type=int, default=40)

@@ -239,18 +239,91 @@ def test_distance_stats_match_float64_gram_oracle(width, rows):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def test_dof_estimate_peak_memory():
-    bits = substream(13, "ctl").integers(0, 2, (1000, 256), dtype=np.uint8)
+@pytest.mark.parametrize("shape", [(1, 8), (5, 0), (8,)])
+def test_distance_stats_need_two_rows_and_one_bit(shape):
+    with pytest.raises(ValueError):
+        acoustic.pairwise_distance_stats(np.zeros(shape, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("width", [7, 256])  # the streamed sum of both passes, then of one
+@pytest.mark.parametrize("rows", [2, 16, 17, 18, 60])  # 1, 120, 136, 153 and 1770 pairs
+def test_distance_stats_match_oracle_across_many_tree_levels(monkeypatch, rows, width):
+    # at 136 distances a leaf, 1770 pairs cross four levels of numpy's summation tree;
+    # 120 and 136 pairs are one leaf, at and past numpy's own 128-term block
+    monkeypatch.setattr(acoustic, "_SUM_LEAF", 136)
+    mat = substream(20, "tree", rows, width).integers(0, 2, (rows, width), dtype=np.uint8)
+    got = acoustic.pairwise_distance_stats(mat)
+    assert np.array(got).tobytes() == np.array(_distance_stats_oracle(mat)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(2, 120), width=st.integers(1, 300), seed=st.integers(0, 2**63 - 1))
+def test_streamed_distance_stats_match_oracle_for_any_shape(rows, width, seed):
+    mat = substream(seed, "shape").integers(0, 2, (rows, width), dtype=np.uint8)
+    want = np.array(_distance_stats_oracle(mat)).tobytes()
+    assert np.array(acoustic.pairwise_distance_stats(mat)).tobytes() == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acoustic, "_SUM_LEAF", 136)
+        assert np.array(acoustic.pairwise_distance_stats(mat)).tobytes() == want
+
+
+def _numpy_split(size):
+    """Where numpy's pairwise summation splits a run of more than 128 terms."""
+    return size // 2 - size // 2 % 8
+
+
+def test_numpy_sums_a_vector_as_its_two_halves():
+    # the premise of acoustic._tree_sum: if a numpy release changes its summation
+    # tree, this fails before any streamed distance statistic drifts silently
+    rng = substream(21, "tree")
+    terms = rng.random(10**6) * 10.0 ** rng.integers(-8, 9, 10**6)
+    sizes = [*range(129, 1025), *np.unique(np.geomspace(1025, 10**6, 200).astype(int)).tolist()]
+    off_split = 0
+    for size in sizes:
+        x, half = terms[:size], _numpy_split(size)
+        assert np.add.reduce(x) == np.add.reduce(x[:half]) + np.add.reduce(x[half:]), size
+        off = half + 8
+        off_split += np.add.reduce(x) != np.add.reduce(x[:off]) + np.add.reduce(x[off:])
+    assert off_split > len(sizes) // 4  # the terms tell a different split apart
+
+
+@pytest.mark.parametrize("size", [1, 128, 136, 137, 1000, 4099, 10**6])
+def test_tree_sum_of_leaf_reduces_is_numpy_sum(monkeypatch, size):
+    monkeypatch.setattr(acoustic, "_SUM_LEAF", 136)
+    terms = substream(22, "tree", size).random(size)
+    start = 0
+
+    def leaf_sum(m):
+        nonlocal start
+        start += m
+        return np.add.reduce(terms[start - m : start])
+
+    assert acoustic._tree_sum(size, leaf_sum) == np.add.reduce(terms)
+    assert start == size
+
+
+def _dof_peak(rows):
+    bits = substream(13, "ctl").integers(0, 2, (rows, 256), dtype=np.uint8)
     tracemalloc.start()
     try:
         acoustic.dof_estimate(bits)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_dof_estimate_peak_memory():
     # a float64 Gram and distance matrix gathered with np.triu_indices peaked at 34 MB;
     # a float32 Gram turned into distances in place and gathered by a mask, at 13 MB;
-    # 64-row Gram blocks copied into the 4 MB distance vector, at 5.6 MB
-    assert peak < 8e6
+    # 64-row Gram blocks copied into the 4 MB distance vector, at 5.6 MB; the float32
+    # input copy, one block, its triangle and one 256 KB leaf of distances, at 1.9 MB
+    assert _dof_peak(1000) < 2.5e6
+
+
+def test_dof_estimate_peak_memory_at_4000_devices():
+    # the whole distance vector peaked at 70 MB; the streamed sums hold the 4 MB
+    # float32 input copy, a 1 MB block and its triangle, at 6.7 MB
+    assert _dof_peak(4000) < 8e6
 
 
 def test_dof_degenerate_population_flagged():

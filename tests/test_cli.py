@@ -85,7 +85,7 @@ def test_full_protocol_flow_via_cli(tmp_path, capsys):
 
 
 SECRET_VERBS = {
-    "personalize": ["suc", "personalize", "--device-id", "s", "--rounds", "4"],
+    "personalize": ["suc", "personalize", "--device-id", "s", "--rounds", "4", "--device-out", "dev.json"],
     "enroll": ["enroll", "--device", "dev.json", "--pairs", "2", "--store", "store.json"],
 }
 
@@ -99,6 +99,14 @@ def test_secret_making_verbs_take_no_seed_and_dump_nothing(tmp_path, capsys, ver
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({key: 1}))
         assert run_cli(capsys, *argv, "--config", str(cfg)) == (3, "")
+
+
+def test_personalize_without_device_out_exits_2(monkeypatch, capsys):
+    # a device nobody can keep is never made: the flag is checked before personalize runs
+    made = []
+    monkeypatch.setattr(suc, "personalize", lambda *a: made.append(a))
+    assert run_cli(capsys, "suc", "personalize", "--device-id", "s", "--rounds", "4") == (2, "")
+    assert made == []
 
 
 def _integers(*texts):
