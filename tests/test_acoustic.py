@@ -188,15 +188,36 @@ def test_dof_iid_control():
     assert not estimate.degenerate
 
 
-def _distance_stats_oracle(mat, dtype=np.int64):
-    """Mean and sample variance of pairwise fractional Hamming distance from a Gram matrix."""
+def _gram_counts(mat, dtype=np.int64):
+    """Hamming counts of the pairs i < j from a Gram of dtype, in np.triu_indices order."""
     mat = np.asarray(mat, dtype=dtype)
-    gram = mat @ mat.T
     ones = mat.sum(axis=1)
-    dist = (ones[:, None] + ones[None, :] - 2 * gram) / mat.shape[1]
-    values = dist[np.triu_indices(mat.shape[0], k=1)]
-    var = float(values.var(ddof=1)) if values.size > 1 else float("nan")
-    return float(values.mean()), var
+    counts = (ones[:, None] + ones[None, :] - 2 * (mat @ mat.T))[np.triu_indices(len(mat), k=1)]
+    return counts.astype(np.int64)
+
+
+def _distance_stats_oracle(mat, dtype=np.int64):
+    """Mean and sample variance of pairwise fractional Hamming distance, each rounded
+    once from exact Python-int sums of the Gram's Hamming counts."""
+    width, counts = mat.shape[1], _gram_counts(mat, dtype).tolist()
+    pairs, total = len(counts), sum(counts)
+    mean = total / (width * pairs)  # int / int: CPython rounds the exact quotient once
+    if pairs < 2:
+        return mean, float("nan")
+    # the squared deviations of c / width from total / (width pairs), over pairs - 1
+    deviations = sum((c * pairs - total) ** 2 for c in counts)
+    return mean, deviations / (width**2 * pairs**2 * (pairs - 1))
+
+
+def _assert_exact_stats(mat, dtype=np.int64):
+    got = acoustic.pairwise_distance_stats(mat)
+    # equal to the bit, NaN (a single pair has no sample variance) included
+    assert np.array(got).tobytes() == np.array(_distance_stats_oracle(mat, dtype)).tobytes()
+    # and close to numpy's rounded sums of the float64 distances
+    distances = _gram_counts(mat) / mat.shape[1]
+    np.testing.assert_allclose(got[0], distances.mean(), rtol=1e-12)
+    if distances.size > 1:
+        np.testing.assert_allclose(got[1], distances.var(ddof=1), rtol=1e-12)
 
 
 def _distance_cases():
@@ -219,11 +240,7 @@ def _distance_cases():
 
 @pytest.mark.parametrize("name", list(_distance_cases()))
 def test_distance_stats_match_int64_gram_oracle(name):
-    mat = _distance_cases()[name]
-    got = acoustic.pairwise_distance_stats(mat)
-    want = _distance_stats_oracle(mat)
-    # equal to the bit, NaN (a single pair has no sample variance) included
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    _assert_exact_stats(_distance_cases()[name])
 
 
 @pytest.mark.parametrize("width", [1, 255, 256, 257])
@@ -234,9 +251,7 @@ def test_distance_stats_match_float64_gram_oracle(width, rows):
         mat = mat[:2]
     elif rows == "identical-rows":  # every distance 0: the degenerate population
         mat = np.repeat(mat[:1], 40, axis=0)
-    got = acoustic.pairwise_distance_stats(mat)
-    want = _distance_stats_oracle(mat, np.float64)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    _assert_exact_stats(mat, np.float64)
 
 
 @pytest.mark.parametrize("shape", [(1, 8), (5, 0), (8,)])
@@ -245,61 +260,22 @@ def test_distance_stats_need_two_rows_and_one_bit(shape):
         acoustic.pairwise_distance_stats(np.zeros(shape, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("width", [7, 256])  # the streamed sum of both passes, then of one
-@pytest.mark.parametrize("rows", [2, 16, 17, 18, 60])  # 1, 120, 136, 153 and 1770 pairs
-def test_distance_stats_match_oracle_across_many_tree_levels(monkeypatch, rows, width):
-    # at 136 distances a leaf, 1770 pairs cross four levels of numpy's summation tree;
-    # 120 and 136 pairs are one leaf, at and past numpy's own 128-term block
-    monkeypatch.setattr(acoustic, "_SUM_LEAF", 136)
-    mat = substream(20, "tree", rows, width).integers(0, 2, (rows, width), dtype=np.uint8)
-    got = acoustic.pairwise_distance_stats(mat)
-    assert np.array(got).tobytes() == np.array(_distance_stats_oracle(mat)).tobytes()
-
-
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(2, 120), width=st.integers(1, 300), seed=st.integers(0, 2**63 - 1))
 def test_streamed_distance_stats_match_oracle_for_any_shape(rows, width, seed):
-    mat = substream(seed, "shape").integers(0, 2, (rows, width), dtype=np.uint8)
-    want = np.array(_distance_stats_oracle(mat)).tobytes()
-    assert np.array(acoustic.pairwise_distance_stats(mat)).tobytes() == want
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(acoustic, "_SUM_LEAF", 136)
-        assert np.array(acoustic.pairwise_distance_stats(mat)).tobytes() == want
+    _assert_exact_stats(substream(seed, "shape").integers(0, 2, (rows, width), dtype=np.uint8))
 
 
-def _numpy_split(size):
-    """Where numpy's pairwise summation splits a run of more than 128 terms."""
-    return size // 2 - size // 2 % 8
-
-
-def test_numpy_sums_a_vector_as_its_two_halves():
-    # the premise of acoustic._tree_sum: if a numpy release changes its summation
-    # tree, this fails before any streamed distance statistic drifts silently
-    rng = substream(21, "tree")
-    terms = rng.random(10**6) * 10.0 ** rng.integers(-8, 9, 10**6)
-    sizes = [*range(129, 1025), *np.unique(np.geomspace(1025, 10**6, 200).astype(int)).tolist()]
-    off_split = 0
-    for size in sizes:
-        x, half = terms[:size], _numpy_split(size)
-        assert np.add.reduce(x) == np.add.reduce(x[:half]) + np.add.reduce(x[half:]), size
-        off = half + 8
-        off_split += np.add.reduce(x) != np.add.reduce(x[:off]) + np.add.reduce(x[off:])
-    assert off_split > len(sizes) // 4  # the terms tell a different split apart
-
-
-@pytest.mark.parametrize("size", [1, 128, 136, 137, 1000, 4099, 10**6])
-def test_tree_sum_of_leaf_reduces_is_numpy_sum(monkeypatch, size):
-    monkeypatch.setattr(acoustic, "_SUM_LEAF", 136)
-    terms = substream(22, "tree", size).random(size)
-    start = 0
-
-    def leaf_sum(m):
-        nonlocal start
-        start += m
-        return np.add.reduce(terms[start - m : start])
-
-    assert acoustic._tree_sum(size, leaf_sum) == np.add.reduce(terms)
-    assert start == size
+@pytest.mark.parametrize("k", range(2, 10))
+def test_simplex_code_distances_are_all_equal(k):
+    # the 2^k codewords of the [2^k - 1, k] simplex code lie 2^(k-1) bits apart in every pair
+    msgs = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    cols = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
+    code = (msgs @ cols.T) % 2
+    estimate = acoustic.dof_estimate(code)
+    assert estimate.hd_variance == 0.0
+    assert estimate.degenerate and math.isnan(estimate.dof_bits)
+    assert estimate.mean_hd == 2 ** (k - 1) / (2**k - 1)
 
 
 def _dof_peak(rows):
@@ -315,14 +291,14 @@ def _dof_peak(rows):
 def test_dof_estimate_peak_memory():
     # a float64 Gram and distance matrix gathered with np.triu_indices peaked at 34 MB;
     # a float32 Gram turned into distances in place and gathered by a mask, at 13 MB;
-    # 64-row Gram blocks copied into the 4 MB distance vector, at 5.6 MB; the float32
-    # input copy, one block, its triangle and one 256 KB leaf of distances, at 1.9 MB
+    # 64-row Gram blocks copied into the 4 MB distance vector, at 5.6 MB; the 1 MB
+    # float32 input copy, one 32-row block and its triangle of int64 counts, at 1.6 MB
     assert _dof_peak(1000) < 2.5e6
 
 
 def test_dof_estimate_peak_memory_at_4000_devices():
-    # the whole distance vector peaked at 70 MB; the streamed sums hold the 4 MB
-    # float32 input copy, a 1 MB block and its triangle, at 6.7 MB
+    # the whole distance vector peaked at 70 MB; the integer sums hold the 4 MB
+    # float32 input copy, a 512 KB block and its triangle of int64 counts, at 6.5 MB
     assert _dof_peak(4000) < 8e6
 
 

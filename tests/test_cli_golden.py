@@ -35,15 +35,15 @@ STATELESS = [
     ("puf-simulate-sram", "puf simulate --model sram --cells 64 --seed 104", 0, "8e7a187f7857befc54a0a6ab85d3f44c3bd45e64e2a9d7a7f121378d2e55687e"),
     ("puf-simulate-sram-hot", "puf simulate --model sram --cells 64 --temp 85 --seed 104", 0, "217ce556fdded9e1d3023995daceece4203203dbc23b1277b0aac75687c83b06"),
     ("puf-simulate-sram-temp", "puf simulate --model sram --cells 64 --temp -40 --volt 1.3 --seed 104", 0, "077519b5690312afbb5ed1719b168a0b96e2775741c42706d573257de1ae43d1"),
-    ("puf-metrics-arbiter", "puf metrics --model arbiter --devices 6 --stages 16 --challenges 16 --seed 105", 0, "e66a1e27b073ccaf4d22c1832dc2147095a98e916fd5a20f34a2d518bcc8b558"),
-    ("puf-metrics-ro", "puf metrics --model ro --devices 6 --oscillators 64 --seed 105", 0, "24d55bb4a409f8a198db06c38f0527722b97ef81682a972bb17e71e2a09aed73"),
+    ("puf-metrics-arbiter", "puf metrics --model arbiter --devices 6 --stages 16 --challenges 16 --seed 105", 0, "512e1d1acfceff7902bddfaa5a7916f7e11cd4394b5e1783eff1dc45b9e3b776"),
+    ("puf-metrics-ro", "puf metrics --model ro --devices 6 --oscillators 64 --seed 105", 0, "b0936f02053911e3de6eaf6f7d1b3f478394e3a43a10b7deff60e7f683498931"),
     ("fe-design", "fe design --ber 0.1 --blocks 8", 0, "62728e5968f3319b4bb02f9c0ca2b6045084dfeafda4e34f62393232397fa87a"),
     ("fe-generate", "fe generate --input-hex abcdef --n-rep 3 --blocks 8 --key-len 16 --seed 106", 0, "ebee2e1935b049d484dc662c8b8b96b3f53c343434883bcfaefc9b5e4ddadc67"),
     ("suc-analyze", "suc analyze --rounds 4 --samples 1000 --seed 107", 0, "720d88b43d327e88360bef8618de8a7771b01148739c2b44c39594239ee5b707"),
     ("acoustic-fingerprint", "acoustic fingerprint --bins 64 --seed 109", 0, "258daad686cf82386b865d4b0e12dee750e0999f9d1964e16e12db71af1054c4"),
     ("acoustic-fingerprint-noiseless", "acoustic fingerprint --bins 64 --noiseless --seed 109", 0, "2c4871b09ca404bd56900a65dbbd1f6d6f6a0bd7766acc2bcd7206c331c08869"),
     ("acoustic-fingerprint-temp", "acoustic fingerprint --bins 64 --smoothing 0.5 --temp 60 --volt 1.2 --seed 109", 0, "5cd0914a7afe0a21c33838b35280758b62d137f93c221bf7bea3590d6ab145f5"),
-    ("acoustic-entropy", "acoustic entropy --devices 100 --bins 64 --seed 110", 0, "5d7b35a13f6036ddda677848946fc94ba559ca23cf4739c3563c068e5e0e3a73"),
+    ("acoustic-entropy", "acoustic entropy --devices 100 --bins 64 --seed 110", 0, "d68c7307922f6b440c09c3ec6d1972b594807f553aa5f8eec56a078a343ffe00"),
     ("acoustic-space", "acoustic space --t 32 --k 20 --p 10", 0, "d2bf69ebe1235d7b2751ac6460fed3832f49ddc410e8fb24e5d0a0ce666d3754"),
     ("attack-model-arbiter", "attack model --target arbiter --train 300 --test 100 --stages 16 --seed 111", 0, "0f94af1ab8db08fac2887378f62887c3d97998ee2ad1f39c0d08f07c45869278"),
     ("attack-model-xor", "attack model --target xor --k 2 --train 300 --test 100 --stages 16 --seed 111", 0, "9469a5e9d6c16a31dd142af60cb069393ff46dcd6a1c694530af62efa93f0e0c"),

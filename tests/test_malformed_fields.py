@@ -150,3 +150,16 @@ def test_device_with_an_sbox_outside_the_class_raises_data_format_error(tmp_path
     path.write_text(json.dumps(_mutated(good, ("descriptor", "sboxes", 0), list(range(16)))))
     with pytest.raises(DataFormatError, match="S-box"):
         suc.load_device(path)
+
+
+@pytest.mark.parametrize("field, value", [("n_bins", True), ("device_id", 7)], ids=["bool-width", "numeric-id"])
+def test_fingerprint_with_a_bool_width_or_numeric_id_raises_data_format_error(tmp_path, field, value):
+    # a 1-bit fingerprint, which loads as written; operator.index(True) is 1, so n_bins true
+    # would read the same bits, and a numeric device_id would pass through to the verifier
+    path = tmp_path / "fingerprint.json"
+    one_bit = {"schema_version": 1, "device_id": "fp", "bits_hex": "8", "thresholds": [acoustic.RAYLEIGH_MEDIAN], "n_bins": 1}
+    path.write_text(json.dumps(one_bit))
+    assert len(acoustic.load_fingerprint(path).bits) == 1
+    path.write_text(json.dumps({**one_bit, field: value}))
+    with pytest.raises(DataFormatError, match=field):
+        acoustic.load_fingerprint(path)
